@@ -20,6 +20,13 @@ Models:
 * ``thorp``       - comparison curve for the Thorp shuffle at r passes over
                     N = 2^n points: min(1, (2q/r + 1) * (4nq/N)^r)
 
+Each model is one row of a single table: its log-space bound, the step its
+round counts come in (2 for the CCA models, which are stated for even R),
+the smallest query budget it is stated for, whether it needs N to be a
+power of two, and whether q is capped at N (all but Thorp).  One validator
+reads that row, so the bound functions, ``evaluate`` and the ``min_rounds``
+planner accept the same inputs, except that planning always needs q >= 1.
+
 As a rule of thumb the non-Thorp bounds only become nontrivial once the
 round count passes roughly 6*lg(N) (for q a constant fraction of N), and
 they decay exponentially from there.  Guarding against q close to N is
@@ -31,16 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
+from .cipher import MAX_ROUNDS as ROUND_CAP
 from .errors import ParameterError, RoundCapExceeded
 
 # Significant decimal digits for internal evaluation.
 PRECISION_DPS = 60
-
-# Largest round count the planner will consider.
-ROUND_CAP = 1 << 16
 
 
 class Model(Enum):
@@ -65,27 +71,6 @@ class BoundQuery:
 
     def advantage(self) -> float:
         return evaluate(self)
-
-
-def _check_domain(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ParameterError(f"domain size must be an integer >= 2, got {n!r}")
-
-
-def _check_queries(n: int, q: int) -> None:
-    if not isinstance(q, int) or q < 1:
-        raise ParameterError(f"query budget must be an integer >= 1, got {q!r}")
-    if q > n:
-        raise ParameterError(f"query budget {q} exceeds domain size {n}")
-
-
-def _check_cca_rounds(rounds: int) -> None:
-    if not isinstance(rounds, int) or rounds < 2:
-        raise ParameterError(f"CCA models need rounds >= 2, got {rounds!r}")
-    if rounds % 2:
-        raise ParameterError(
-            f"CCA models are stated for even round counts; round {rounds} up to {rounds + 1}"
-        )
 
 
 def _ln_base(n: int, q: int):
@@ -123,6 +108,56 @@ def _clamped(ln_value) -> float:
     return float(mp.e**ln_value)
 
 
+class _ModelRow(NamedTuple):
+    ln: Callable  # ln of the unclamped bound at (N, rounds, q)
+    step: int  # round counts are positive multiples of this
+    min_q: int  # smallest query budget the bound is stated for
+    pow2: bool  # N must be a power of two
+    q_le_n: bool  # q may not exceed N
+
+
+_MODELS = {
+    Model.NCPA: _ModelRow(_ln_ncpa, 1, 1, False, True),
+    Model.NCPA_TWEAK: _ModelRow(_ln_ncpa, 1, 1, False, True),
+    Model.CCA: _ModelRow(_ln_cca, 2, 1, False, True),
+    Model.CCA_TWEAK: _ModelRow(_ln_cca_tweak, 2, 1, False, True),
+    Model.THORP: _ModelRow(_ln_thorp, 1, 0, True, False),
+}
+
+
+def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
+    """The model's row, once N, q and ``rounds`` are valid for it.
+
+    ``rounds=None`` is the planner's call: rounds are not checked, and the
+    query budget must then be at least 1 for every model.
+    """
+    row = _MODELS[model]
+    if not isinstance(n, int) or n < 2:
+        raise ParameterError(f"domain size must be an integer >= 2, got {n!r}")
+    if row.pow2 and n & (n - 1):
+        raise ParameterError(f"{model.value} model needs a power-of-two domain, got {n}")
+    min_q = row.min_q if rounds is not None else 1
+    if not isinstance(q, int) or q < min_q:
+        raise ParameterError(f"query budget must be an integer >= {min_q}, got {q!r}")
+    if row.q_le_n and q > n:
+        raise ParameterError(f"query budget {q} exceeds domain size {n}")
+    if rounds is not None:
+        if not isinstance(rounds, int) or rounds < row.step:
+            raise ParameterError(f"{model.value} model needs rounds >= {row.step}, got {rounds!r}")
+        if rounds % row.step:
+            raise ParameterError(
+                f"{model.value} model is stated for even round counts; "
+                f"round {rounds} up to {rounds + 1}"
+            )
+    return row
+
+
+def _bound(model: Model, n: int, rounds: int, q: int) -> float:
+    row = _checked(model, n, q, rounds)
+    with mp.workdps(PRECISION_DPS):
+        return _clamped(row.ln(n, rounds, q))
+
+
 def ncpa_bound(domain_size: int, rounds: int, queries: int) -> float:
     """Advantage bound against nonadaptive chosen-plaintext adversaries.
 
@@ -130,35 +165,22 @@ def ncpa_bound(domain_size: int, rounds: int, queries: int) -> float:
     ``rounds`` rounds with ``queries`` tracked cards, which is what the
     mixing verifier checks against.
     """
-    _check_domain(domain_size)
-    _check_queries(domain_size, queries)
-    if not isinstance(rounds, int) or rounds < 1:
-        raise ParameterError(f"NCPA models need rounds >= 1, got {rounds!r}")
-    with mp.workdps(PRECISION_DPS):
-        return _clamped(_ln_ncpa(domain_size, rounds, queries))
+    return _bound(Model.NCPA, domain_size, rounds, queries)
 
 
 def ncpa_tweak_bound(domain_size: int, rounds: int, queries: int) -> float:
     """Tweakable NCPA bound; the expression matches the plain NCPA bound."""
-    return ncpa_bound(domain_size, rounds, queries)
+    return _bound(Model.NCPA_TWEAK, domain_size, rounds, queries)
 
 
 def cca_bound(domain_size: int, rounds: int, queries: int) -> float:
     """Adaptive CCA bound for an even total round count."""
-    _check_domain(domain_size)
-    _check_queries(domain_size, queries)
-    _check_cca_rounds(rounds)
-    with mp.workdps(PRECISION_DPS):
-        return _clamped(_ln_cca(domain_size, rounds, queries))
+    return _bound(Model.CCA, domain_size, rounds, queries)
 
 
 def cca_tweak_bound(domain_size: int, rounds: int, queries: int) -> float:
     """Tweakable CCA bound for an even total round count."""
-    _check_domain(domain_size)
-    _check_queries(domain_size, queries)
-    _check_cca_rounds(rounds)
-    with mp.workdps(PRECISION_DPS):
-        return _clamped(_ln_cca_tweak(domain_size, rounds, queries))
+    return _bound(Model.CCA_TWEAK, domain_size, rounds, queries)
 
 
 def thorp_bound(domain_size: int, passes: int, queries: int) -> float:
@@ -167,37 +189,12 @@ def thorp_bound(domain_size: int, passes: int, queries: int) -> float:
     Kept for comparison tables only; it is vacuous once q >= N / (4 lg N).
     Unlike the other models, q = 0 is allowed (the bound is then 0).
     """
-    _check_domain(domain_size)
-    if domain_size & (domain_size - 1):
-        raise ParameterError(f"thorp model needs a power-of-two domain, got {domain_size}")
-    if not isinstance(passes, int) or passes < 1:
-        raise ParameterError(f"thorp model needs passes >= 1, got {passes!r}")
-    if not isinstance(queries, int) or queries < 0:
-        raise ParameterError(f"query budget must be an integer >= 0, got {queries!r}")
-    with mp.workdps(PRECISION_DPS):
-        return _clamped(_ln_thorp(domain_size, passes, queries))
-
-
-_LN_BY_MODEL = {
-    Model.NCPA: _ln_ncpa,
-    Model.NCPA_TWEAK: _ln_ncpa,
-    Model.CCA: _ln_cca,
-    Model.CCA_TWEAK: _ln_cca_tweak,
-    Model.THORP: _ln_thorp,
-}
-
-_BOUND_BY_MODEL = {
-    Model.NCPA: ncpa_bound,
-    Model.NCPA_TWEAK: ncpa_tweak_bound,
-    Model.CCA: cca_bound,
-    Model.CCA_TWEAK: cca_tweak_bound,
-    Model.THORP: thorp_bound,
-}
+    return _bound(Model.THORP, domain_size, passes, queries)
 
 
 def evaluate(query: BoundQuery) -> float:
     """Evaluate a BoundQuery through the model-appropriate bound."""
-    return _BOUND_BY_MODEL[query.model](query.domain_size, query.rounds, query.queries)
+    return _bound(query.model, query.domain_size, query.rounds, query.queries)
 
 
 def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> int:
@@ -209,37 +206,24 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
     Raises :class:`RoundCapExceeded` if no count within the cap reaches the
     target.
     """
-    _check_domain(domain_size)
+    row = _checked(model, domain_size, queries, None)
     if not 0 < target < 1:
         raise ParameterError(f"target advantage must be in (0, 1), got {target!r}")
-    if model is Model.THORP:
-        _check_domain(domain_size)
-        if domain_size & (domain_size - 1):
-            raise ParameterError(f"thorp model needs a power-of-two domain, got {domain_size}")
-        if not isinstance(queries, int) or queries < 1:
-            raise ParameterError(f"query budget must be an integer >= 1, got {queries!r}")
-        if 4 * (domain_size.bit_length() - 1) * queries >= domain_size:
-            raise RoundCapExceeded(
-                "thorp bound does not decrease with passes once 4*lg(N)*q >= N"
-            )
-        step, start = 1, 1
-    else:
-        _check_queries(domain_size, queries)
-        cca_like = model in (Model.CCA, Model.CCA_TWEAK)
-        step, start = (2, 2) if cca_like else (1, 1)
+    if model is Model.THORP and 4 * (domain_size.bit_length() - 1) * queries >= domain_size:
+        raise RoundCapExceeded("thorp bound does not decrease with passes once 4*lg(N)*q >= N")
+    step = row.step
 
-    ln_bound = _LN_BY_MODEL[model]
     with mp.workdps(PRECISION_DPS):
         ln_target = mp.log(target)
 
         def ok(rounds: int) -> bool:
-            return ln_bound(domain_size, rounds, queries) <= ln_target
+            return row.ln(domain_size, rounds, queries) <= ln_target
 
-        if ok(start):
-            return start
+        if ok(step):
+            return step
         # Double until the target is met, then binary-search the gap.
-        lo = start  # known failing
-        hi = start * 2
+        lo = step  # known failing
+        hi = step * 2
         while hi <= ROUND_CAP and not ok(hi):
             lo, hi = hi, hi * 2
         if hi > ROUND_CAP:

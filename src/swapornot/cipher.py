@@ -9,21 +9,24 @@ in reverse order inverts it.
 
 The plain cipher is the tweakable cipher at the empty tweak: there is one
 loop, and the tweak (digested once per call) is simply part of the round
-function's input.  Round bits come from a pluggable :class:`BitSource`;
-the two production sources are ``IdealSource`` (a seeded model of uniform
-random round functions) and ``DerivedSource`` (the keyed PRF backend).
+function's input.  Round bits come from a pluggable :class:`BitSource`.
+The production source is ``DerivedSource``, the keyed PRF backend; it runs
+under one of two personalizations.  ``son.prf`` is the PRF proper, and
+``son.ideal`` (``IdealSource``) is a seeded model of uniform random round
+functions, kept separate so a seed never reproduces a PRF key's cipher.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 from . import prf
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
 
+# Longest key schedule; the round planner in ``bounds`` searches up to it.
 MAX_ROUNDS = 1 << 16
 
 
@@ -42,41 +45,6 @@ class BitSource(Protocol):
 
 
 @dataclass(frozen=True)
-class IdealSource:
-    """Uniform random round functions, realized as a seeded deterministic stream.
-
-    Each (round, tweak, x_hat) bit behaves as if sampled once globally: it is
-    derived by the keyed-hash backend from a 32-byte seed, so repetition,
-    reproducibility across machines, and thread safety are automatic rather
-    than memoized.
-    """
-
-    seed: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, bytes) or len(self.seed) != 32:
-            raise DomainError("ideal-source seed must be exactly 32 bytes")
-
-    def _block(self, message: bytes) -> bytes:
-        # Same layout as the PRF backend, separate keyed personalization.
-        return hashlib.blake2b(
-            message, digest_size=prf.BLOCK_BYTES, key=self.seed, person=b"son.ideal"
-        ).digest()
-
-    def context(self, tweak: bytes) -> prf.TweakDigest:
-        return prf.TweakDigest(self._block(b"T" + bytes(_checked_tweak(tweak))))
-
-    def bit(self, round_index: int, context: prf.TweakDigest, x_hat: int) -> int:
-        return self._block(prf.encode_round_bit(round_index, context, x_hat))[-1] & 1
-
-    def subkeys(self, domain: Domain, rounds: int) -> tuple[int, ...]:
-        """Uniform subkeys drawn from the same seed (counter-indexed stream)."""
-        return prf.sample_uniform(
-            lambda c: self._block(prf.encode_subkey_draw(c)), domain.size, rounds
-        )
-
-
-@dataclass(frozen=True)
 class DerivedSource:
     """Round bits from the keyed PRF backend (the production instantiation)."""
 
@@ -87,6 +55,26 @@ class DerivedSource:
 
     def bit(self, round_index: int, context: prf.TweakDigest, x_hat: int) -> int:
         return prf.round_bit(self.key, round_index, context, x_hat)
+
+
+class _IdealKey(prf.PrfKey):
+    """A seed for the ideal model: the PRF's keyed BLAKE2b under its own personalization."""
+
+    def block(self, message: bytes) -> bytes:
+        return hashlib.blake2b(
+            message, digest_size=prf.BLOCK_BYTES, key=self.key_bytes, person=b"son.ideal"
+        ).digest()
+
+
+def IdealSource(seed: bytes) -> DerivedSource:
+    """Uniform random round functions, realized as a seeded deterministic stream.
+
+    Each (round, tweak, x_hat) bit behaves as if sampled once globally: it is
+    derived by the keyed-hash backend from a 32-byte seed, so repetition,
+    reproducibility across machines, and thread safety are automatic rather
+    than memoized.
+    """
+    return DerivedSource(_IdealKey(seed))
 
 
 @dataclass(frozen=True)
@@ -100,8 +88,7 @@ class ConstantSource:
             raise DomainError("constant bit must be 0 or 1")
 
     def context(self, tweak: bytes) -> None:
-        _checked_tweak(tweak)
-        return None
+        prf.check_tweak(tweak)
 
     def bit(self, round_index: int, context: None, x_hat: int) -> int:
         return self.value
@@ -118,16 +105,10 @@ class CallableSource:
     fn: Callable[[int, int], int]
 
     def context(self, tweak: bytes) -> None:
-        _checked_tweak(tweak)
-        return None
+        prf.check_tweak(tweak)
 
     def bit(self, round_index: int, context: None, x_hat: int) -> int:
         return self.fn(round_index, x_hat)
-
-
-def _checked_tweak(tweak: bytes) -> bytes:
-    prf.check_tweak(tweak)
-    return tweak
 
 
 @dataclass(frozen=True)
@@ -149,11 +130,7 @@ class RoundMaterial:
     @classmethod
     def ideal(cls, domain: Domain, rounds: int, seed: bytes) -> "RoundMaterial":
         """Material with ideal (seeded random) round functions and subkeys."""
-        if rounds < 0 or rounds > MAX_ROUNDS:
-            raise ParameterError(f"rounds must be in [0, {MAX_ROUNDS}], got {rounds}")
-        source = IdealSource(seed)
-        subkeys = source.subkeys(domain, rounds) if rounds else ()
-        return cls(subkeys, source)
+        return cls.derived(domain, rounds, _IdealKey(seed))
 
     @classmethod
     def derived(cls, domain: Domain, rounds: int, key: prf.PrfKey) -> "RoundMaterial":
@@ -194,55 +171,52 @@ class RoundStep(NamedTuple):
     bit: int
 
 
-def _check_call(domain: Domain, material: RoundMaterial, x: int) -> None:
+def _run(
+    domain: Domain,
+    material: RoundMaterial,
+    x: int,
+    tweak: bytes,
+    rounds: Iterable[tuple[int, int]],
+    trace: list[RoundStep] | None = None,
+) -> int:
+    """The swap-or-not loop over ``(round_index, subkey)`` pairs, in the order given.
+
+    Appends a :class:`RoundStep` per round to ``trace`` when one is passed.
+    """
     domain.check_element(x)
     for k in material.subkeys:
         if not 0 <= k < domain.size:
             raise DomainError(f"subkey {k} not in [0, {domain.size})")
-
-
-def encipher(domain: Domain, material: RoundMaterial, x: int, tweak: bytes = b"") -> int:
-    """Encipher x in [N); with zero rounds this is the identity."""
-    _check_call(domain, material, x)
     ctx = material.source.context(tweak)
     # Inputs are validated above; inline the group law for the hot loop.
     xor = domain.law is GroupLaw.XOR
     n = domain.size
     bit = material.source.bit
-    for i, k in enumerate(material.subkeys, start=1):
+    for i, k in rounds:
         xp = k ^ x if xor else (k + n - x) % n
-        if bit(i, ctx, xp if xp > x else x):
+        x_hat = xp if xp > x else x
+        b = bit(i, ctx, x_hat)
+        if trace is not None:
+            trace.append(RoundStep(x, xp, x_hat, b))
+        if b:
             x = xp
     return x
 
 
+def encipher(domain: Domain, material: RoundMaterial, x: int, tweak: bytes = b"") -> int:
+    """Encipher x in [N); with zero rounds this is the identity."""
+    return _run(domain, material, x, tweak, enumerate(material.subkeys, 1))
+
+
 def decipher(domain: Domain, material: RoundMaterial, y: int, tweak: bytes = b"") -> int:
     """Invert encipher: the same loop with rounds taken from last to first."""
-    _check_call(domain, material, y)
-    ctx = material.source.context(tweak)
-    xor = domain.law is GroupLaw.XOR
-    n = domain.size
-    bit = material.source.bit
-    for i in range(material.rounds, 0, -1):
-        k = material.subkeys[i - 1]
-        yp = k ^ y if xor else (k + n - y) % n
-        if bit(i, ctx, yp if yp > y else y):
-            y = yp
-    return y
+    rounds = zip(range(material.rounds, 0, -1), reversed(material.subkeys))
+    return _run(domain, material, y, tweak, rounds)
 
 
 def encipher_traced(
     domain: Domain, material: RoundMaterial, x: int, tweak: bytes = b""
 ) -> tuple[int, list[RoundStep]]:
     """Encipher and record (x, partner, canonical, bit) for every round."""
-    _check_call(domain, material, x)
-    ctx = material.source.context(tweak)
-    trace = []
-    for i, k in enumerate(material.subkeys, start=1):
-        xp = domain.partner(k, x)
-        x_hat = domain.canonical(x, xp)
-        bit = material.source.bit(i, ctx, x_hat)
-        trace.append(RoundStep(x, xp, x_hat, bit))
-        if bit:
-            x = xp
-    return x, trace
+    trace: list[RoundStep] = []
+    return _run(domain, material, x, tweak, enumerate(material.subkeys, 1), trace), trace

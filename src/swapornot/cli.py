@@ -86,6 +86,7 @@ def _add_crypt_parser(sub, name: str, doc: str) -> None:
     )
     p.add_argument("--xor", action="store_true", help="use the XOR law (power-of-two N only)")
     p.add_argument("text", help="input digit string")
+    p.set_defaults(run=_cmd_crypt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,30 +102,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="query budget (comma list allowed with --csv)")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="cca")
     p.add_argument("--csv", action="store_true", help="emit N,rounds,q,model,advantage rows")
+    p.set_defaults(run=_cmd_bounds)
 
     p = sub.add_parser("minrounds", help="smallest round count meeting a target")
     p.add_argument("--N", type=int, required=True, dest="domain_size")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--target-adv", type=float, required=True)
     p.add_argument("--model", choices=_MODEL_CHOICES, default="cca")
+    p.set_defaults(run=_cmd_minrounds)
 
     p = sub.add_parser("mixlab", help="exact mixing sweep vs. the advantage bound")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--max-q", type=int, default=3)
     p.add_argument("--max-r", type=int, default=12)
     p.add_argument("--csv", action="store_true", help="emit law,N,q,r,tvd,bound,pass rows")
+    p.set_defaults(run=_cmd_mixlab)
 
     p = sub.add_parser("shuffle", help="demo: sample one shuffle and print the permutation")
     p.add_argument("--n", type=int, required=True, dest="deck_size")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--xor", action="store_true", help="use the XOR law (power-of-two N only)")
+    p.set_defaults(run=_cmd_shuffle)
 
-    sub.add_parser("vectors", help="regenerate the golden test vectors on stdout")
+    p = sub.add_parser("vectors", help="regenerate the golden test vectors on stdout")
+    p.set_defaults(run=_cmd_vectors)
     return parser
 
 
-def _cmd_crypt(args, encrypting: bool) -> int:
+def _cmd_crypt(args) -> int:
     key = PrfKey.from_hex(args.key)
     spec = fpe.FormatSpec(args.radix, args.length)
     tweak = _parse_hex(args.tweak, "tweak")
@@ -132,7 +138,7 @@ def _cmd_crypt(args, encrypting: bool) -> int:
     if rounds is None:
         rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
         print(f"auto rounds: {rounds}", file=sys.stderr)
-    work = fpe.fpe_encrypt if encrypting else fpe.fpe_decrypt
+    work = fpe.fpe_encrypt if args.command == "encrypt" else fpe.fpe_decrypt
     print(work(key, spec, args.text, tweak, rounds, xor_law=args.xor))
     return 0
 
@@ -208,21 +214,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.command == "encrypt":
-            return _cmd_crypt(args, encrypting=True)
-        if args.command == "decrypt":
-            return _cmd_crypt(args, encrypting=False)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "minrounds":
-            return _cmd_minrounds(args)
-        if args.command == "mixlab":
-            return _cmd_mixlab(args)
-        if args.command == "shuffle":
-            return _cmd_shuffle(args)
-        if args.command == "vectors":
-            return _cmd_vectors(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

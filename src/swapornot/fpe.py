@@ -108,14 +108,19 @@ def plan_rounds(
     n = spec.domain_size
     if queries is None:
         queries = n - 1
-    rounds = bounds.min_rounds(n, queries, target_advantage, bounds.Model.CCA)
-    return max(rounds, MIN_FPE_ROUNDS)
+    # The CCA planner only returns even counts >= 2, i.e. >= MIN_FPE_ROUNDS.
+    return bounds.min_rounds(n, queries, target_advantage, bounds.Model.CCA)
 
 
-def _material(key: PrfKey, domain: Domain, rounds: int) -> RoundMaterial:
+def _fpe(cipher, key, spec, text, tweak, rounds, queries, target_advantage, xor_law) -> str:
+    # ``cipher`` is encipher or decipher, read from this module's globals by the caller.
+    if rounds is None:
+        rounds = plan_rounds(spec, queries, target_advantage)
     if rounds < MIN_FPE_ROUNDS:
         raise ParameterError(f"FPE requires at least {MIN_FPE_ROUNDS} rounds, got {rounds}")
-    return RoundMaterial.derived(domain, rounds, key)
+    domain = spec.domain(xor_law)
+    material = RoundMaterial.derived(domain, rounds, key)
+    return decode_digits(cipher(domain, material, encode_digits(text, spec), tweak), spec)
 
 
 def fpe_encrypt(
@@ -130,11 +135,7 @@ def fpe_encrypt(
     xor_law: bool = False,
 ) -> str:
     """Encrypt a digit string to a digit string of the same format."""
-    if rounds is None:
-        rounds = plan_rounds(spec, queries, target_advantage)
-    domain = spec.domain(xor_law)
-    material = _material(key, domain, rounds)
-    return decode_digits(encipher(domain, material, encode_digits(plaintext, spec), tweak), spec)
+    return _fpe(encipher, key, spec, plaintext, tweak, rounds, queries, target_advantage, xor_law)
 
 
 def fpe_decrypt(
@@ -149,11 +150,7 @@ def fpe_decrypt(
     xor_law: bool = False,
 ) -> str:
     """Invert fpe_encrypt under the same key, tweak, format, and rounds."""
-    if rounds is None:
-        rounds = plan_rounds(spec, queries, target_advantage)
-    domain = spec.domain(xor_law)
-    material = _material(key, domain, rounds)
-    return decode_digits(decipher(domain, material, encode_digits(ciphertext, spec), tweak), spec)
+    return _fpe(decipher, key, spec, ciphertext, tweak, rounds, queries, target_advantage, xor_law)
 
 
 @dataclass(frozen=True)

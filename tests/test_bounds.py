@@ -131,6 +131,8 @@ def test_query_budget_validation():
         cca_bound(100, 10, 0)
     with pytest.raises(ParameterError):
         ncpa_bound(100, 0, 10)
+    with pytest.raises(ParameterError):
+        ncpa_tweak_bound(100, 0, 10)
 
 
 def test_odd_cca_rounds_rejected():
@@ -203,6 +205,10 @@ def test_min_rounds_target_validation():
         min_rounds(100, 10, 0.0, Model.CCA)
     with pytest.raises(ParameterError):
         min_rounds(100, 10, 1.0, Model.CCA)
+    with pytest.raises(ParameterError):
+        min_rounds(100, 101, 1e-6, Model.CCA)
+    with pytest.raises(ParameterError):
+        min_rounds(2**64, 0, 1e-10, Model.THORP)
 
 
 def test_bound_query_dispatch():

@@ -247,3 +247,57 @@ def test_derived_source_matches_module_functions():
     ctx = src.context(b"abc")
     assert ctx == tweak_digest(KEY, b"abc")
     assert src.bit(4, ctx, 99) == round_bit(KEY, 4, ctx, 99)
+
+
+# The ideal stream pinned as literals (the golden vectors cover only the PRF
+# stream): seed SEED, 8 rounds, tweak b"pin".
+IDEAL_PINS = [
+    (
+        Domain(1000),
+        (219, 98, 745, 428, 441, 3, 967, 734),
+        {0: 526, 1: 647, 7: 630, 999: 305},
+        {0: 320, 1: 2, 7: 870, 999: 75},
+        (
+            740,
+            [
+                (5, 214, 214, 0),
+                (5, 93, 93, 0),
+                (5, 740, 740, 1),
+                (740, 688, 740, 0),
+                (740, 701, 740, 0),
+                (740, 263, 740, 0),
+                (740, 227, 740, 0),
+                (740, 994, 994, 0),
+            ],
+        ),
+    ),
+    (
+        Domain.xor_bits(8),
+        (107, 66, 225, 172, 105, 131, 167, 174),
+        {0: 200, 1: 237, 7: 39, 255: 249},
+        {0: 98, 1: 224, 7: 42, 255: 251},
+        (
+            106,
+            [
+                (5, 110, 110, 0),
+                (5, 71, 71, 1),
+                (71, 166, 166, 0),
+                (71, 235, 235, 0),
+                (71, 46, 71, 0),
+                (71, 196, 196, 1),
+                (196, 99, 196, 0),
+                (196, 106, 196, 1),
+            ],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("d,subkeys,enciphered,deciphered,traced", IDEAL_PINS)
+def test_ideal_stream_pinned(d, subkeys, enciphered, deciphered, traced):
+    m = RoundMaterial.ideal(d, 8, SEED)
+    assert m.subkeys == subkeys
+    assert {x: encipher(d, m, x, b"pin") for x in enciphered} == enciphered
+    assert {y: decipher(d, m, y, b"pin") for y in deciphered} == deciphered
+    y, trace = encipher_traced(d, m, 5, b"pin")
+    assert (y, [tuple(step) for step in trace]) == traced
