@@ -36,6 +36,7 @@ targets need an explicit, smaller query budget.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -204,13 +205,20 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
     and a pass count for ``thorp``.  The bounds are nonincreasing in the round
     count, so the minimum is located by doubling followed by binary search.
     Raises :class:`RoundCapExceeded` if no count within the cap reaches the
-    target.
+    target.  Results are memoized per (N, q, target, model); errors are not,
+    so every call with bad inputs raises afresh.
     """
-    row = _checked(model, domain_size, queries, None)
+    _checked(model, domain_size, queries, None)
     if not 0 < target < 1:
         raise ParameterError(f"target advantage must be in (0, 1), got {target!r}")
     if model is Model.THORP and 4 * (domain_size.bit_length() - 1) * queries >= domain_size:
         raise RoundCapExceeded("thorp bound does not decrease with passes once 4*lg(N)*q >= N")
+    return _search_rounds(domain_size, queries, target, model)
+
+
+@functools.lru_cache(maxsize=256)
+def _search_rounds(domain_size: int, queries: int, target: float, model: Model) -> int:
+    row = _MODELS[model]
     step = row.step
 
     with mp.workdps(PRECISION_DPS):

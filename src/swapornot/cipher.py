@@ -18,7 +18,6 @@ functions, kept separate so a seed never reproduces a PRF key's cipher.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
@@ -28,6 +27,8 @@ from .errors import DomainError, ParameterError
 
 # Longest key schedule; the round planner in ``bounds`` searches up to it.
 MAX_ROUNDS = 1 << 16
+# Subkey schedules one key object memoizes before it starts afresh.
+SCHEDULE_MEMO_SIZE = 4
 
 
 class BitSource(Protocol):
@@ -60,10 +61,7 @@ class DerivedSource:
 class _IdealKey(prf.PrfKey):
     """A seed for the ideal model: the PRF's keyed BLAKE2b under its own personalization."""
 
-    def block(self, message: bytes) -> bytes:
-        return hashlib.blake2b(
-            message, digest_size=prf.BLOCK_BYTES, key=self.key_bytes, person=b"son.ideal"
-        ).digest()
+    person = b"son.ideal"
 
 
 def IdealSource(seed: bytes) -> DerivedSource:
@@ -134,10 +132,22 @@ class RoundMaterial:
 
     @classmethod
     def derived(cls, domain: Domain, rounds: int, key: prf.PrfKey) -> "RoundMaterial":
-        """Material with subkeys and round bits derived from a keyed PRF."""
+        """Material with subkeys and round bits derived from a keyed PRF.
+
+        Subkeys depend only on (key, N, rounds), so the schedule is memoized
+        on the key object and reused by later calls with the same key.
+        """
         if rounds < 0 or rounds > MAX_ROUNDS:
             raise ParameterError(f"rounds must be in [0, {MAX_ROUNDS}], got {rounds}")
-        subkeys = prf.derive_subkeys(key, domain, rounds) if rounds else ()
+        # Threads sharing a key may race here; that can only recompute a
+        # schedule, since every entry is an immutable tuple stored under its own key.
+        memo = key._schedules
+        subkeys = memo.get((domain.size, rounds))
+        if subkeys is None:
+            subkeys = prf.derive_subkeys(key, domain, rounds) if rounds else ()
+            if len(memo) >= SCHEDULE_MEMO_SIZE:
+                memo.clear()
+            memo[domain.size, rounds] = subkeys
         return cls(subkeys, DerivedSource(key))
 
     def reversed(self) -> "RoundMaterial":
@@ -184,9 +194,10 @@ def _run(
     Appends a :class:`RoundStep` per round to ``trace`` when one is passed.
     """
     domain.check_element(x)
-    for k in material.subkeys:
-        if not 0 <= k < domain.size:
-            raise DomainError(f"subkey {k} not in [0, {domain.size})")
+    if material.subkeys:
+        lo, hi = min(material.subkeys), max(material.subkeys)
+        if lo < 0 or hi >= domain.size:
+            raise DomainError(f"subkey {lo if lo < 0 else hi} not in [0, {domain.size})")
     ctx = material.source.context(tweak)
     # Inputs are validated above; inline the group law for the hot loop.
     xor = domain.law is GroupLaw.XOR

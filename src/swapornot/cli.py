@@ -22,7 +22,7 @@ import sys
 from . import bounds as bounds_mod
 from . import fpe, mixing
 from .domain import Domain, GroupLaw
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, RoundCapExceeded
 from .prf import PrfKey
 
 _MODEL_CHOICES = [m.value for m in bounds_mod.Model]
@@ -136,7 +136,16 @@ def _cmd_crypt(args) -> int:
     tweak = _parse_hex(args.tweak, "tweak")
     rounds = _parse_rounds(args.rounds)
     if rounds is None:
-        rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
+        try:
+            rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
+        except RoundCapExceeded as exc:
+            if args.queries is not None:
+                raise
+            raise RoundCapExceeded(
+                f"{exc}; without --queries the budget is q = N-1, where the log of "
+                "the bound falls by only about 1/(8N) per round: pass --queries with "
+                "the number of values this key will encrypt, or give --rounds"
+            ) from exc
         print(f"auto rounds: {rounds}", file=sys.stderr)
     work = fpe.fpe_encrypt if args.command == "encrypt" else fpe.fpe_decrypt
     print(work(key, spec, args.text, tweak, rounds, xor_law=args.xor))

@@ -17,12 +17,18 @@ Fixed-width fields make distinct (tag, index, digest, element) tuples encode
 to distinct byte strings; the tag byte separates the three uses.  The subkey
 draw counter is 1-based and counts *candidate* draws, so on power-of-two
 domains (where no candidate is ever rejected) subkey i comes from counter i.
+
+A :class:`PrfKey` builds its keyed BLAKE2b state once and copies it for each
+block, and carries a small memo of subkey schedules, keyed by (N, rounds),
+that ``cipher.RoundMaterial.derived`` fills.  Both live and die with the key
+object; neither takes part in its equality, hash, repr, copies or pickles.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .domain import Domain
 from .errors import DomainError, ParameterError
@@ -35,18 +41,28 @@ BLOCK_BYTES = 16
 _MAX_INDEX = 0xFFFFFFFF
 MAX_TWEAK_BYTES = 0xFFFFFFFF
 
-_PERSON = b"son.prf"
-
 
 @dataclass(frozen=True)
 class PrfKey:
-    """A 32-byte secret key for the pinned keyed PRF."""
+    """A 32-byte secret key for the pinned keyed PRF.
 
-    key_bytes: bytes
+    Equality and hash depend on ``key_bytes`` alone, and the repr hides it.
+    """
+
+    key_bytes: bytes = field(repr=False)
+    person: ClassVar[bytes] = b"son.prf"
 
     def __post_init__(self) -> None:
         if not isinstance(self.key_bytes, bytes) or len(self.key_bytes) != KEY_BYTES:
             raise DomainError(f"PRF key must be exactly {KEY_BYTES} bytes")
+        # Per-object caches, not dataclass fields: they stay out of eq, hash and repr.
+        keyed = hashlib.blake2b(digest_size=BLOCK_BYTES, key=self.key_bytes, person=self.person)
+        object.__setattr__(self, "_keyed", keyed)
+        object.__setattr__(self, "_schedules", {})
+
+    def __reduce__(self):
+        # The keyed hasher cannot be pickled; a copy rebuilds it from the key bytes.
+        return type(self), (self.key_bytes,)
 
     @classmethod
     def from_hex(cls, hex_string: str) -> "PrfKey":
@@ -58,9 +74,9 @@ class PrfKey:
 
     def block(self, message: bytes) -> bytes:
         """The 16-byte PRF output for a message."""
-        return hashlib.blake2b(
-            message, digest_size=BLOCK_BYTES, key=self.key_bytes, person=_PERSON
-        ).digest()
+        h = self._keyed.copy()
+        h.update(message)
+        return h.digest()
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,19 @@ def test_min_rounds_cap_exceeded():
         min_rounds(10**9, 10**9 - 1, 1e-10, Model.CCA)
 
 
+def test_min_rounds_memo_keeps_models_apart_and_errors_live():
+    args = (2**30, 10**8, 1e-10)
+    cca, ncpa = min_rounds(*args, Model.CCA), min_rounds(*args, Model.NCPA)
+    assert cca != ncpa
+    assert (min_rounds(*args, Model.NCPA), min_rounds(*args, Model.CCA)) == (ncpa, cca)
+    # Failures are not memoized: each call raises again.
+    for _ in range(2):
+        with pytest.raises(RoundCapExceeded):
+            min_rounds(10**9, 10**9 - 1, 1e-10, Model.CCA)
+        with pytest.raises(ParameterError):
+            min_rounds(100, 10, 1.0, Model.CCA)
+
+
 def test_min_rounds_target_validation():
     with pytest.raises(ParameterError):
         min_rounds(100, 10, 0.0, Model.CCA)

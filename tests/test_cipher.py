@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from swapornot import (
     encipher,
     encipher_traced,
 )
-from swapornot.cipher import MAX_ROUNDS
+from swapornot.cipher import MAX_ROUNDS, SCHEDULE_MEMO_SIZE
 
 from helpers import is_permutation, reference_encipher
 
@@ -108,6 +111,110 @@ def test_roundtrip_property(n, rounds, tweak, rng):
     m = RoundMaterial.ideal(d, rounds, SEED)
     x = rng.randrange(n)
     assert decipher(d, m, encipher(d, m, x, tweak), tweak) == x
+
+
+def _oracle_block(key: bytes, message: bytes) -> bytes:
+    # The pinned PRF written out afresh, with no PrfKey in the way.
+    return hashlib.blake2b(message, digest_size=16, key=key, person=b"son.prf").digest()
+
+
+def _oracle_subkeys(key: bytes, n: int, rounds: int) -> list[int]:
+    # Rejection sampling of 64-bit candidates, as the prf module specifies for n <= 2**63.
+    threshold = (1 << 64) // n * n
+    out, counter = [], 1
+    while len(out) < rounds:
+        block = _oracle_block(key, b"K" + counter.to_bytes(4, "big"))
+        counter += 1
+        candidate = int.from_bytes(block[:8], "big")
+        if candidate < threshold:
+            out.append(candidate % n)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.binary(min_size=32, max_size=32),
+    st.integers(2, 64),
+    st.booleans(),
+    st.integers(0, 24),
+    st.binary(max_size=12),
+    st.data(),
+)
+def test_derived_material_matches_independent_oracle(key, n, xor, rounds, tweak, data):
+    law = GroupLaw.XOR if xor else GroupLaw.MOD_ADD
+    if xor:
+        n = 1 << (n.bit_length() - 1)
+    d = Domain(n, law)
+    m = RoundMaterial.derived(d, rounds, PrfKey(key))
+    subkeys = _oracle_subkeys(key, n, rounds)
+    digest = _oracle_block(key, b"T" + tweak)
+
+    def bit_fn(i, x_hat):
+        message = b"B" + i.to_bytes(4, "big") + digest + x_hat.to_bytes(16, "big")
+        return _oracle_block(key, message)[-1] & 1
+
+    x = data.draw(st.integers(0, n - 1))
+    y = reference_encipher(n, law.value, subkeys, bit_fn, x)
+    assert m.subkeys == tuple(subkeys)
+    assert encipher(d, m, x, tweak) == y
+    assert decipher(d, m, y, tweak) == x
+
+
+def test_derived_schedule_is_memoized_per_key():
+    draws = []
+
+    class CountingKey(PrfKey):
+        def block(self, message):
+            draws.append(message[:1] == b"K")
+            return super().block(message)
+
+    key = CountingKey(bytes(range(32)))
+    first = RoundMaterial.derived(Domain(1024), 40, key)
+    assert sum(draws) >= 40
+    draws.clear()
+    # Subkeys depend on (key, N, rounds) only, not on the group law.
+    again = RoundMaterial.derived(Domain(1024, GroupLaw.XOR), 40, key)
+    assert again.subkeys == first.subkeys and sum(draws) == 0
+    # The memo belongs to the key object: an equal key derives afresh.
+    twin = CountingKey(bytes(range(32)))
+    assert RoundMaterial.derived(Domain(1024), 40, twin).subkeys == first.subkeys
+    assert sum(draws) >= 40
+    # It stays small however many schedules one key is asked for.
+    for rounds in range(1, 3 * SCHEDULE_MEMO_SIZE):
+        fresh = PrfKey(key.key_bytes)
+        m = RoundMaterial.derived(Domain(1000), rounds, key)
+        assert m.subkeys == RoundMaterial.derived(Domain(1000), rounds, fresh).subkeys
+        assert len(key._schedules) <= SCHEDULE_MEMO_SIZE
+
+
+def test_shared_key_schedule_memo_under_threads():
+    # Threads racing on one key's memo may recompute a schedule, never see a wrong one.
+    shapes = [(n, r) for n in (10, 1000, 1024) for r in (3, 8)]
+    assert len(shapes) > SCHEDULE_MEMO_SIZE
+    expected = {
+        (n, r): RoundMaterial.derived(Domain(n), r, PrfKey(SEED)).subkeys for n, r in shapes
+    }
+    key = PrfKey(SEED)
+    wrong = []
+
+    def work(offset):
+        for i in range(300):
+            n, r = shapes[(i + offset) % len(shapes)]
+            if RoundMaterial.derived(Domain(n), r, key).subkeys != expected[n, r]:
+                wrong.append((n, r))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_reversal_symmetry():

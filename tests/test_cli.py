@@ -110,6 +110,7 @@ def test_encrypt_auto_rounds_default_budget_fails(capsys):
     )
     assert code == 2
     assert "advantage" in err
+    assert "--queries" in err
 
 
 def test_encrypt_xor_flag(capsys):

@@ -141,6 +141,36 @@ def test_plan_rounds_default_budget_unreachable():
         plan_rounds(FormatSpec(10, 9))
 
 
+def test_reused_key_matches_fresh_key():
+    # One key object across alternating formats, round counts, laws and
+    # planned rounds must give what a fresh key from the same bytes gives.
+    # 16**4 == 2**16, so two formats share N and may share a subkey
+    # schedule; 10**9 at 64 rounds must not reuse the 2**16 one.
+    raw = bytes(range(32, 64))
+    shared = PrfKey(raw)
+    cases = [
+        (FormatSpec(10, 9), 340, False),
+        (FormatSpec(16, 4), 64, True),
+        (FormatSpec(10, 9), 64, False),
+        (FormatSpec(16, 4), 64, False),
+        (FormatSpec(10, 9), None, False),
+        (FormatSpec(2, 16), 64, True),
+        (FormatSpec(36, 6), 17, False),
+        (FormatSpec(16, 4), None, True),
+        (FormatSpec(10, 9), 10, False),
+    ]
+    rng = random.Random(3)
+    for _ in range(3):
+        for spec, rounds, xor in cases:
+            opts = {"queries": 10**4 if rounds is None else None, "xor_law": xor}
+            text = "".join(rng.choices(spec.alphabet, k=spec.length))
+            tweak = rng.randbytes(rng.randrange(9))
+            ciphertext = fpe_encrypt(shared, spec, text, tweak, rounds, **opts)
+            assert ciphertext == fpe_encrypt(PrfKey(raw), spec, text, tweak, rounds, **opts)
+            assert fpe_decrypt(shared, spec, ciphertext, tweak, rounds, **opts) == text
+            assert fpe_decrypt(PrfKey(raw), spec, ciphertext, tweak, rounds, **opts) == text
+
+
 def test_golden_vectors_match_frozen_file():
     assert format_golden_vectors(generate_golden_vectors()) == VECTOR_FILE.read_text()
 

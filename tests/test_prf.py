@@ -1,10 +1,22 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapornot import Domain, DomainError, PrfKey, derive_subkeys, round_bit, tweak_digest
+from swapornot import (
+    Domain,
+    DomainError,
+    FormatSpec,
+    PrfKey,
+    RoundMaterial,
+    derive_subkeys,
+    fpe_encrypt,
+    round_bit,
+    tweak_digest,
+)
 from swapornot.prf import (
     KEY_BYTES,
     MAX_TWEAK_BYTES,
@@ -28,6 +40,34 @@ def test_key_length_enforced():
     with pytest.raises(DomainError):
         PrfKey.from_hex("not hex")
     assert PrfKey.from_hex("00" * 32).key_bytes == bytes(32)
+
+
+def test_used_key_is_a_plain_value():
+    # Whatever a key caches once used must not leak into copies, pickles,
+    # equality or hashing: those depend on the key bytes alone.
+    raw = bytes(range(7, 7 + KEY_BYTES))
+    used = PrfKey(raw)
+    ciphertext = fpe_encrypt(used, FormatSpec(10, 6), "123456", b"t", 12)
+    RoundMaterial.derived(Domain(1000), 5, used)
+    fresh = PrfKey(raw)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used != PrfKey(bytes(KEY_BYTES))
+    for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used), copy.copy(used)):
+        assert type(clone) is PrfKey
+        assert clone == used and hash(clone) == hash(used)
+        assert clone.block(b"x") == fresh.block(b"x")
+        assert fpe_encrypt(clone, FormatSpec(10, 6), "123456", b"t", 12) == ciphertext
+    assert len({used, fresh, copy.deepcopy(used)}) == 1
+
+
+def test_repr_hides_key_bytes():
+    raw = bytes(range(100, 100 + KEY_BYTES))
+    key = PrfKey(raw)
+    material = RoundMaterial.derived(Domain(10), 2, key)
+    for text in (repr(key), str(key), repr([key]), repr(material)):
+        assert raw.hex() not in text
+        assert repr(raw) not in text
+        assert repr(raw)[2:-1] not in text
 
 
 def test_block_is_deterministic_and_keyed():
