@@ -203,8 +203,9 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
 
     Returns an even total for the CCA models, any r >= 1 for the NCPA models,
     and a pass count for ``thorp``.  The bounds are nonincreasing in the round
-    count, so the minimum is located by doubling followed by binary search.
-    Raises :class:`RoundCapExceeded` if no count within the cap reaches the
+    count, so the cap is checked first and the minimum is then located by
+    doubling followed by binary search.  Raises :class:`RoundCapExceeded`,
+    after that one bound evaluation, if no count within the cap reaches the
     target.  Results are memoized per (N, q, target, model); errors are not,
     so every call with bad inputs raises afresh.
     """
@@ -227,20 +228,21 @@ def _search_rounds(domain_size: int, queries: int, target: float, model: Model) 
         def ok(rounds: int) -> bool:
             return row.ln(domain_size, rounds, queries) <= ln_target
 
+        # The bound falls as rounds grow, so an unreachable target shows at
+        # the largest allowed count: one evaluation instead of a search.
+        top = ROUND_CAP - ROUND_CAP % step
+        if not ok(top):
+            raise RoundCapExceeded(
+                f"no round count <= {ROUND_CAP} reaches advantage {target} "
+                f"for N={domain_size}, q={queries}, model={model.value}"
+            )
         if ok(step):
             return step
         # Double until the target is met, then binary-search the gap.
         lo = step  # known failing
-        hi = step * 2
-        while hi <= ROUND_CAP and not ok(hi):
-            lo, hi = hi, hi * 2
-        if hi > ROUND_CAP:
-            hi = ROUND_CAP - (ROUND_CAP % step)
-            if hi <= lo or not ok(hi):
-                raise RoundCapExceeded(
-                    f"no round count <= {ROUND_CAP} reaches advantage {target} "
-                    f"for N={domain_size}, q={queries}, model={model.value}"
-                )
+        hi = min(step * 2, top)
+        while hi < top and not ok(hi):
+            lo, hi = hi, min(hi * 2, top)
         while hi - lo > step:
             mid = lo + (hi - lo) // 2
             mid -= mid % step

@@ -13,36 +13,56 @@ Two cards sitting at partnered positions share one coin and swap together;
 treating their coins as independent would silently break the permutation
 property, so the transition groups tracked positions into per-subkey orbits
 before enumerating coins.
+
+The arithmetic is exact.  One round's transition is compiled once per
+(domain, q) into integer move counts out of N * 2^q equally likely
+(subkey, coins) outcomes, and every round steps integer numerators over one
+common denominator, so every probability after r rounds is a
+:class:`fractions.Fraction` whose denominator divides (N * 2^q)^r.  Total
+variation distances are exact ``Fraction``s too, and the sweep compares
+them with the float bound without rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from . import bounds
 from .cipher import CallableSource, RoundMaterial, encipher
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
 
-# Tractability guards: exact support size and round count.
+# Tractability guards: exact support size, round count, and the
+# support * N * 2^q (state, subkey, coins) outcomes one compiled round
+# enumerates.  A compiled round keeps half to two thirds of them as moves,
+# at about 15 bytes each: 82k moves (1.3 MB) for N=12, q=3, and 7.3M (about
+# 100 MB) for N=16, q=4.
 MAX_SUPPORT = 10**6
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_SIZE = 1 << 20
-
-PROB_TOLERANCE = 1e-12
+MAX_ROUND_OUTCOMES = 1 << 24
+# Compiled rounds kept; the full mixlab sweep (N <= 12, q <= 3) uses 36.
+TRANSITION_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
 class ProjectedDistribution:
-    """Exact distribution of q tracked cards' positions (ordered, distinct)."""
+    """Exact distribution of q tracked cards' positions (ordered, distinct).
+
+    Probabilities are stored as :class:`fractions.Fraction`s (other numbers
+    are converted exactly) and must sum to exactly 1.
+    """
 
     domain: Domain
     tracked: int
-    probs: dict[tuple[int, ...], float]
+    probs: dict[tuple[int, ...], Fraction]
 
     def __post_init__(self) -> None:
         n = self.domain.size
@@ -52,22 +72,26 @@ class ProjectedDistribution:
             raise ParameterError(
                 f"support size {self.support_size()} exceeds guard {MAX_SUPPORT}"
             )
-        total = 0.0
-        for tup, p in self.probs.items():
+        probs = {
+            tup: p if type(p) is Fraction else Fraction(p) for tup, p in self.probs.items()
+        }
+        object.__setattr__(self, "probs", probs)
+        for tup in probs:
             if len(tup) != self.tracked or len(set(tup)) != self.tracked:
                 raise DomainError(f"support tuple {tup} is not {self.tracked} distinct positions")
             for x in tup:
                 self.domain.check_element(x)
-            total += p
-        if abs(total - 1.0) > PROB_TOLERANCE:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
+        denominator, numerators = _numerators(probs)
+        if sum(numerators) != denominator:
+            total = Fraction(sum(numerators), denominator)
+            raise DomainError(f"probabilities sum to {total}, not 1")
 
     def support_size(self) -> int:
         return math.perm(self.domain.size, self.tracked)
 
     @classmethod
     def point_mass(cls, domain: Domain, start: tuple[int, ...]) -> "ProjectedDistribution":
-        return cls(domain, len(start), {tuple(start): 1.0})
+        return cls(domain, len(start), {tuple(start): Fraction(1)})
 
     @classmethod
     def stationary(cls, domain: Domain, tracked: int) -> "ProjectedDistribution":
@@ -75,27 +99,60 @@ class ProjectedDistribution:
         size = math.perm(domain.size, tracked)
         if size > MAX_SUPPORT:
             raise ParameterError(f"support size {size} exceeds guard {MAX_SUPPORT}")
-        p = 1.0 / size
+        p = Fraction(1, size)
         probs = {tup: p for tup in itertools.permutations(range(domain.size), tracked)}
         return cls(domain, tracked, probs)
 
 
-def step(dist: ProjectedDistribution) -> ProjectedDistribution:
-    """Exact one-round transition of the projected shuffle."""
-    domain = dist.domain
+def _numerators(probs: Mapping[tuple[int, ...], Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of ``probs`` and each value's numerator over it."""
+    denominator = math.lcm(*(p.denominator for p in probs.values()))
+    return denominator, [p.numerator * (denominator // p.denominator) for p in probs.values()]
+
+
+class _Transition(NamedTuple):
+    """One round of the projected chain, compiled for one (domain, q)."""
+
+    states: tuple[tuple[int, ...], ...]  # the support, in permutations order
+    index: Mapping[tuple[int, ...], int]  # state -> its position in ``states``
+    # moves[i]: (count, destination indices) pairs.  Each destination of
+    # state i is reached by ``count`` of the ``outcomes`` equally likely
+    # (subkey, coins) draws; grouping destinations by count saves a multiply
+    # per move, since a source has only a few distinct counts.
+    moves: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    outcomes: int
+
+
+@functools.lru_cache(maxsize=TRANSITION_CACHE_SIZE)
+def _transition(domain: Domain, tracked: int) -> _Transition:
+    """Aggregate every (subkey, coin mask) of one round into integer move counts.
+
+    A round draws one of N subkeys and one coin per tracked orbit.  An orbit
+    is a tracked card whose partner is untracked (its own coin) or a pair of
+    tracked partners (one shared coin); a fixed point (x == partner) cannot
+    move.  With g orbits, each of the 2^g masks stands for 2^(q-g) of the
+    2^q coin outcomes, so every count is out of N * 2^q.
+    """
     n = domain.size
-    inv_n = 1.0 / n
-    out: dict[tuple[int, ...], float] = {}
-    for tup, prob in dist.probs.items():
-        base = prob * inv_n
-        positions = set(tup)
+    all_coins = 1 << tracked
+    enumerated = math.perm(n, tracked) * n * all_coins
+    if enumerated > MAX_ROUND_OUTCOMES:
+        raise ParameterError(
+            f"one round of N={n} with {tracked} tracked cards has {enumerated} "
+            f"(state, subkey, coins) outcomes, over guard {MAX_ROUND_OUTCOMES}"
+        )
+    # The caller's distribution validated the domain; inline the group law.
+    xor = domain.law is GroupLaw.XOR
+    states = tuple(itertools.permutations(range(n), tracked))
+    index = {tup: i for i, tup in enumerate(states)}
+    moves = []
+    for tup in states:
+        slot = {x: i for i, x in enumerate(tup)}
+        counts: dict[int, int] = {}
         for k in range(n):
-            partners = [domain.partner(k, x) for x in tup]
-            # Orbits among tracked cards: a pair of tracked partners shares
-            # one coin; a card whose partner is untracked gets its own coin;
-            # a fixed point (x == partner) cannot move at all.
+            partners = [k ^ x if xor else (k + n - x) % n for x in tup]
             groups: list[tuple[int, ...]] = []
-            seen = [False] * len(tup)
+            seen = [False] * tracked
             for i, x in enumerate(tup):
                 if seen[i]:
                     continue
@@ -103,37 +160,60 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
                 xp = partners[i]
                 if xp == x:
                     continue
-                if xp in positions:
-                    j = tup.index(xp)
+                j = slot.get(xp)
+                if j is None:
+                    groups.append((i,))
+                else:
                     seen[j] = True
                     groups.append((i, j))
-                else:
-                    groups.append((i,))
-            weight = base * 0.5 ** len(groups)
+            weight = all_coins >> len(groups)
             for mask in range(1 << len(groups)):
                 new = list(tup)
                 for g, grp in enumerate(groups):
                     if mask >> g & 1:
                         for i in grp:
                             new[i] = partners[i]
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + weight
-    return ProjectedDistribution(domain, dist.tracked, out)
+                dest = index[tuple(new)]
+                counts[dest] = counts.get(dest, 0) + weight
+        by_count: dict[int, list[int]] = {}
+        for dest, count in counts.items():
+            by_count.setdefault(count, []).append(dest)
+        moves.append(tuple((count, tuple(dests)) for count, dests in by_count.items()))
+    return _Transition(states, MappingProxyType(index), tuple(moves), n * all_coins)
 
 
-def tvd_to_stationary(dist: ProjectedDistribution) -> float:
-    """Total variation distance (half the L1 distance) to sampling without replacement."""
-    pi = 1.0 / dist.support_size()
-    seen_mass = 0.0
-    for p in dist.probs.values():
-        seen_mass += abs(p - pi)
-    missing = dist.support_size() - len(dist.probs)
-    return 0.5 * (seen_mass + missing * pi)
+def step(dist: ProjectedDistribution) -> ProjectedDistribution:
+    """Exact one-round transition of the projected shuffle."""
+    t = _transition(dist.domain, dist.tracked)
+    denominator, numerators = _numerators(dist.probs)
+    out = [0] * len(t.states)
+    for tup, weight in zip(dist.probs, numerators):
+        for count, dests in t.moves[t.index[tup]]:
+            share = weight * count
+            for dest in dests:
+                out[dest] += share
+    denominator *= t.outcomes
+    probs = {tup: Fraction(w, denominator) for tup, w in zip(t.states, out) if w}
+    return ProjectedDistribution(dist.domain, dist.tracked, probs)
+
+
+def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
+    """Exact total variation distance (half the L1 distance) to sampling without replacement.
+
+    With common denominator D and support size S, each state is |num/D - 1/S|
+    away from uniform, so the distance is sum(|num*S - D|) / (2*D*S), where
+    every unreached state contributes D.
+    """
+    size = dist.support_size()
+    denominator, numerators = _numerators(dist.probs)
+    gap = sum(abs(num * size - denominator) for num in numerators)
+    gap += (size - len(numerators)) * denominator
+    return Fraction(gap, 2 * denominator * size)
 
 
 def exact_tvd_after(
     domain: Domain, rounds: int, tracked: int, start: tuple[int, ...] | None = None
-) -> float:
+) -> Fraction:
     """Exact distance to stationarity after ``rounds`` rounds from a point start.
 
     ``start`` defaults to the canonical tuple (0, 1, ..., tracked-1).
@@ -152,13 +232,16 @@ def exact_tvd_after(
 
 @dataclass(frozen=True)
 class ValidationRow:
-    """One grid point of the bound-validation sweep."""
+    """One grid point of the bound-validation sweep.
+
+    ``tvd`` is exact, so ``ok`` compares it with the float bound exactly.
+    """
 
     law: GroupLaw
     domain_size: int
     tracked: int
     rounds: int
-    tvd: float
+    tvd: Fraction
     bound: float
 
     @property

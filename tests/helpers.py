@@ -4,10 +4,14 @@ The bound oracle uses the stdlib ``decimal`` module at 60 significant
 digits, a different library and code path from the package's mpmath
 evaluation.  The reference cipher materializes each round as an explicit
 permutation table and composes them, instead of tracing a single element
-through the loop.
+through the loop.  The projected-shuffle oracle shuffles the whole deck,
+one coin per pair, and follows the tracked cards through every outcome,
+instead of compiling a transition on the tracked positions alone.
 """
 
+import itertools
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 ORACLE_DIGITS = 60
 
@@ -93,3 +97,27 @@ def reference_encipher(n: int, law: str, subkeys, bit_fn, x: int) -> int:
 
 def is_permutation(outputs, n: int) -> bool:
     return len(outputs) == n and sorted(outputs) == list(range(n))
+
+
+def reference_shuffle_step(n: int, law: str, dist: dict) -> dict:
+    """One exact round of the shuffle, enumerated over the whole deck.
+
+    ``dist`` maps tuples of tracked cards' positions to Fractions.  Every
+    subkey is drawn, then one fair coin for every pair {v, partner(v)} of
+    the deck, fixed points included; each outcome is a permutation of all n
+    positions, applied to every tracked tuple.  ``law`` is "add" or "xor".
+    """
+    out: dict = {}
+    for k in range(n):
+        partner = [(k - v) % n if law == "add" else k ^ v for v in range(n)]
+        pairs = sorted({(min(v, w), max(v, w)) for v, w in enumerate(partner)})
+        weight = Fraction(1, n * 2 ** len(pairs))
+        for coins in itertools.product((0, 1), repeat=len(pairs)):
+            moved = list(range(n))
+            for (v, w), coin in zip(pairs, coins):
+                if coin:
+                    moved[v], moved[w] = w, v
+            for positions, p in dist.items():
+                new = tuple(moved[v] for v in positions)
+                out[new] = out.get(new, 0) + p * weight
+    return out

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from swapornot import (
     BoundQuery,
+    FormatSpec,
     Model,
     ParameterError,
     RoundCapExceeded,
@@ -14,8 +15,10 @@ from swapornot import (
     min_rounds,
     ncpa_bound,
     ncpa_tweak_bound,
+    plan_rounds,
     thorp_bound,
 )
+from swapornot import bounds
 
 from helpers import oracle_cca, oracle_cca_tweak, oracle_ncpa, oracle_thorp, relative_error
 
@@ -198,6 +201,22 @@ def test_min_rounds_cap_exceeded():
     # Guarding against q = N-1 queries needs ~8N rounds; far past the cap.
     with pytest.raises(RoundCapExceeded):
         min_rounds(10**9, 10**9 - 1, 1e-10, Model.CCA)
+
+
+def test_unreachable_target_costs_one_evaluation(monkeypatch):
+    # `encrypt --rounds auto` without --queries plans for q = N-1, which no
+    # count within the cap reaches; the planner should see that at once.
+    row = bounds._MODELS[Model.CCA]
+    calls = []
+
+    def counting_ln(*args):
+        calls.append(args)
+        return row.ln(*args)
+
+    monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(ln=counting_ln))
+    with pytest.raises(RoundCapExceeded, match="no round count <= 65536"):
+        plan_rounds(FormatSpec(10, 9))
+    assert len(calls) == 1
 
 
 def test_min_rounds_memo_keeps_models_apart_and_errors_live():

@@ -137,6 +137,32 @@ def test_mixlab_plain_output(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize(
+    "grid,row",
+    [
+        (("4", "3", "2"), "add,4,3,2,0.335938,"),  # 43/128
+        (("5", "1", "12"), "add,5,1,12,0.000195312,"),  # 1/5120
+        (("10", "1", "8"), "add,10,1,8,0.00351562,"),  # 9/2560
+    ],
+)
+def test_mixlab_rounds_exact_ties_half_even(capsys, grid, row):
+    max_n, max_q, max_r = grid
+    code, out, _ = run(capsys, "mixlab", "--max-n", max_n, "--max-q", max_q, "--max-r", max_r,
+                       "--csv")
+    assert code == 0
+    assert sum(line.startswith(row) for line in out.splitlines()) == 1
+
+
+def test_mixlab_diagnostics_go_to_stderr(capsys):
+    for extra in ((), ("--csv",)):
+        code, out, err = run(capsys, "mixlab", "--max-n", "4", "--max-q", "2", "--max-r", "3",
+                             *extra)
+        assert code == 0
+        assert "mixlab:" not in out
+        (line,) = err.splitlines()
+        assert line.startswith("mixlab: 18 rows, 0 violations, ") and line.endswith(" s")
+
+
 def test_vectors_matches_frozen_file(capsys):
     code, out, _ = run(capsys, "vectors")
     assert code == 0

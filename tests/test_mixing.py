@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +19,7 @@ from swapornot import (
     validation_grid,
 )
 
-
-def l1_distance(a: ProjectedDistribution, b: ProjectedDistribution) -> float:
-    keys = set(a.probs) | set(b.probs)
-    return sum(abs(a.probs.get(k, 0.0) - b.probs.get(k, 0.0)) for k in keys)
+from helpers import reference_shuffle_step
 
 
 def test_single_card_step_example():
@@ -45,12 +43,14 @@ def test_partnered_cards_share_a_coin():
         (Domain(8), 3),
         (Domain.xor_bits(2), 2),
         (Domain.xor_bits(3), 1),
+        (Domain.xor_bits(3), 3),
+        (Domain(7), 2),
     ],
     ids=lambda v: str(v),
 )
 def test_stationary_is_fixed_point(domain, q):
     pi = ProjectedDistribution.stationary(domain, q)
-    assert l1_distance(step(pi), pi) <= 1e-12
+    assert step(pi).probs == pi.probs
 
 
 def test_point_mass_tvd():
@@ -100,6 +100,14 @@ def test_validation_grid_shape_and_pass():
 def test_support_guard():
     with pytest.raises(ParameterError):
         exact_tvd_after(Domain(1000), 1, 3, (0, 1, 2))  # ~1e9 tuples
+
+
+def test_compiled_round_guard():
+    # 999,000 states: the support guard admits them, but compiling one round
+    # would enumerate about 4e9 (state, subkey, coins) outcomes.
+    with pytest.raises(ParameterError, match="outcomes"):
+        exact_tvd_after(Domain(1000), 1, 2)
+    assert exact_tvd_after(Domain(1000), 0, 2) == Fraction(998999, 999000)
 
 
 def test_round_guard():
@@ -165,4 +173,52 @@ def test_shuffle_size_guard():
 
 def test_tvd_to_stationary_of_stationary_is_zero():
     pi = ProjectedDistribution.stationary(Domain(6), 2)
-    assert tvd_to_stationary(pi) <= 1e-13
+    assert tvd_to_stationary(pi) == 0
+
+
+def _domains_up_to(max_n):
+    for n in range(2, max_n + 1):
+        yield Domain(n)
+        if n & (n - 1) == 0:
+            yield Domain(n, GroupLaw.XOR)
+
+
+@pytest.mark.parametrize("domain", list(_domains_up_to(5)), ids=repr)
+def test_step_equals_whole_deck_oracle(domain):
+    # Exact equality, no tolerance: both sides are Fractions.
+    n = domain.size
+    for q in range(1, min(3, n) + 1):
+        for start in (tuple(range(q)), tuple(range(n - 1, n - 1 - q, -1))):
+            dist = ProjectedDistribution.point_mass(domain, start)
+            expected = dict(dist.probs)
+            for _ in range(3):
+                dist = step(dist)
+                expected = reference_shuffle_step(n, domain.law.value, expected)
+                assert dist.probs == expected
+
+
+@pytest.mark.parametrize(
+    "n,q,r,exact",
+    [(4, 3, 2, Fraction(43, 128)), (5, 1, 12, Fraction(1, 5120)), (10, 1, 8, Fraction(9, 2560))],
+)
+def test_exact_tvd_on_rounding_ties(n, q, r, exact):
+    # Each value sits on a tie at 6 significant digits, where a float DP's
+    # last-bit error decides which way the printed digit rounds.
+    tvd = exact_tvd_after(Domain(n), r, q)
+    assert type(tvd) is Fraction
+    assert tvd == exact
+
+
+def test_probabilities_are_exact_fractions():
+    dist = ProjectedDistribution(Domain(4), 1, {(0,): 0.5, (1,): 0.25, (3,): Fraction(1, 4)})
+    assert dist.probs == {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (3,): Fraction(1, 4)}
+    assert all(type(p) is Fraction for p in dist.probs.values())
+    # 0.1 is not exactly a tenth, so ten of them do not sum to exactly 1.
+    with pytest.raises(DomainError):
+        ProjectedDistribution(Domain(10), 1, {(x,): 0.1 for x in range(10)})
+
+
+@pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
+def test_bound_dominates_beyond_the_sweep(law):
+    # Reach: N=16, q=3 (3,360 states) for 16 rounds.
+    assert exact_tvd_after(Domain(16, law), 16, 3) <= ncpa_bound(16, 16, 3)
