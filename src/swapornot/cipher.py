@@ -14,12 +14,19 @@ The production source is ``DerivedSource``, the keyed PRF backend; it runs
 under one of two personalizations.  ``son.prf`` is the PRF proper, and
 ``son.ideal`` (``IdealSource``) is a seeded model of uniform random round
 functions, kept separate so a seed never reproduces a PRF key's cipher.
+
+The loop picks its path from the source's type.  With a ``DerivedSource``
+(and no trace) it hashes every round bit inline from the key's keyed
+BLAKE2b state, with no call per round; ``prf.round_bit`` stays the spec it
+must match, and an override of ``PrfKey.block`` does not see these round
+bits.  Every other source, ``RoundMaterial.reversed()`` and
+``encipher_traced`` go through ``BitSource.bit`` once per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from . import prf
 from .domain import Domain, GroupLaw
@@ -47,7 +54,11 @@ class BitSource(Protocol):
 
 @dataclass(frozen=True)
 class DerivedSource:
-    """Round bits from the keyed PRF backend (the production instantiation)."""
+    """Round bits from the keyed PRF backend (the production instantiation).
+
+    ``encipher`` and ``decipher`` hash its round bits inline and never call
+    ``bit``, which gives the same bits through ``prf.round_bit``.
+    """
 
     key: prf.PrfKey
 
@@ -186,25 +197,43 @@ def _run(
     material: RoundMaterial,
     x: int,
     tweak: bytes,
-    rounds: Iterable[tuple[int, int]],
+    backward: bool,
     trace: list[RoundStep] | None = None,
 ) -> int:
-    """The swap-or-not loop over ``(round_index, subkey)`` pairs, in the order given.
+    """The swap-or-not loop, from the first round to the last or, if ``backward``, back.
 
     Appends a :class:`RoundStep` per round to ``trace`` when one is passed.
     """
     domain.check_element(x)
-    if material.subkeys:
-        lo, hi = min(material.subkeys), max(material.subkeys)
+    subkeys = material.subkeys
+    if subkeys:
+        lo, hi = min(subkeys), max(subkeys)
         if lo < 0 or hi >= domain.size:
             raise DomainError(f"subkey {lo if lo < 0 else hi} not in [0, {domain.size})")
-    ctx = material.source.context(tweak)
+    source = material.source
+    ctx = source.context(tweak)
     # Inputs are validated above; inline the group law for the hot loop.
     xor = domain.law is GroupLaw.XOR
     n = domain.size
-    bit = material.source.bit
-    for i, k in rounds:
-        xp = k ^ x if xor else (k + n - x) % n
+    order = reversed if backward else iter
+    if type(source) is DerivedSource and trace is None:
+        # prf.round_bit hashed inline from the key's keyed state, in the layout
+        # of prf.encode_round_bit.  Round indices fit its 4-byte field, since
+        # MAX_ROUNDS < 2**32.
+        copy = source.key._keyed.copy
+        td = ctx.digest
+        for prefix, k in zip(order(prf.round_prefixes(len(subkeys))), order(subkeys)):
+            xp = k ^ x if xor else (k - x) % n
+            h = copy()
+            h.update(prefix)
+            h.update(td)
+            h.update((xp if xp > x else x).to_bytes(16, "big"))
+            if h.digest()[-1] & 1:
+                x = xp
+        return x
+    bit = source.bit
+    for i, k in zip(order(range(1, len(subkeys) + 1)), order(subkeys)):
+        xp = k ^ x if xor else (k - x) % n
         x_hat = xp if xp > x else x
         b = bit(i, ctx, x_hat)
         if trace is not None:
@@ -216,13 +245,12 @@ def _run(
 
 def encipher(domain: Domain, material: RoundMaterial, x: int, tweak: bytes = b"") -> int:
     """Encipher x in [N); with zero rounds this is the identity."""
-    return _run(domain, material, x, tweak, enumerate(material.subkeys, 1))
+    return _run(domain, material, x, tweak, False)
 
 
 def decipher(domain: Domain, material: RoundMaterial, y: int, tweak: bytes = b"") -> int:
     """Invert encipher: the same loop with rounds taken from last to first."""
-    rounds = zip(range(material.rounds, 0, -1), reversed(material.subkeys))
-    return _run(domain, material, y, tweak, rounds)
+    return _run(domain, material, y, tweak, True)
 
 
 def encipher_traced(
@@ -230,4 +258,4 @@ def encipher_traced(
 ) -> tuple[int, list[RoundStep]]:
     """Encipher and record (x, partner, canonical, bit) for every round."""
     trace: list[RoundStep] = []
-    return _run(domain, material, x, tweak, enumerate(material.subkeys, 1), trace), trace
+    return _run(domain, material, x, tweak, False, trace), trace

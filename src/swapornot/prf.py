@@ -22,10 +22,18 @@ A :class:`PrfKey` builds its keyed BLAKE2b state once and copies it for each
 block, and carries a small memo of subkey schedules, keyed by (N, rounds),
 that ``cipher.RoundMaterial.derived`` fills.  Both live and die with the key
 object; neither takes part in its equality, hash, repr, copies or pickles.
+
+``encode_round_bit`` and ``round_bit`` are the normative round-bit spec, and
+the tests compare the cipher against them.  The cipher's production loop
+does not call them: it copies the key's keyed state and hashes each round's
+message inline, from ``round_prefixes`` and the tweak digest, in this same
+layout.  So an override of ``PrfKey.block`` sees tweak digests and subkey
+draws, but not round bits.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -109,10 +117,21 @@ def encode_subkey_draw(counter: int) -> bytes:
     return b"K" + counter.to_bytes(4, "big")
 
 
+def round_prefix(round_index: int) -> bytes:
+    """The message prefix of a round bit: ``b"B"`` + round index as 4-byte big-endian."""
+    return b"B" + round_index.to_bytes(4, "big")
+
+
+@functools.lru_cache(maxsize=8)
+def round_prefixes(rounds: int) -> tuple[bytes, ...]:
+    """The prefixes of rounds 1..rounds, built on first use of a round count."""
+    return tuple(round_prefix(i) for i in range(1, rounds + 1))
+
+
 def encode_round_bit(round_index: int, td: TweakDigest, x_hat: int) -> bytes:
     if not 1 <= round_index <= _MAX_INDEX:
         raise ParameterError(f"round index {round_index} outside [1, 2**32)")
-    return b"B" + round_index.to_bytes(4, "big") + td.digest + x_hat.to_bytes(16, "big")
+    return round_prefix(round_index) + td.digest + x_hat.to_bytes(16, "big")
 
 
 def round_bit(key: PrfKey, round_index: int, td: TweakDigest, x_hat: int) -> int:
@@ -152,6 +171,6 @@ def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    return sample_uniform(
-        lambda c: key.block(encode_subkey_draw(c)), domain.size, rounds
-    )
+    block = key.block
+    # encode_subkey_draw inlined: sample_uniform keeps the counter in [1, 2**32).
+    return sample_uniform(lambda c: block(b"K" + c.to_bytes(4, "big")), domain.size, rounds)

@@ -23,6 +23,7 @@ from swapornot import (
     encipher,
     encipher_traced,
 )
+from swapornot import prf
 from swapornot.cipher import MAX_ROUNDS, SCHEDULE_MEMO_SIZE
 
 from helpers import is_permutation, reference_encipher
@@ -158,6 +159,78 @@ def test_derived_material_matches_independent_oracle(key, n, xor, rounds, tweak,
     assert m.subkeys == tuple(subkeys)
     assert encipher(d, m, x, tweak) == y
     assert decipher(d, m, y, tweak) == x
+
+
+SCALE_DOMAINS = {
+    "add-2": Domain(2),
+    "add-10^9": Domain(10**9),
+    "add-36^12": Domain(36**12),
+    "add-2^128": Domain(1 << 128),
+    "xor-1": Domain.xor_bits(1),
+    "xor-30": Domain.xor_bits(30),
+    "xor-128": Domain.xor_bits(128),
+}
+
+
+@pytest.mark.parametrize("ideal", [False, True], ids=["derived", "ideal"])
+@pytest.mark.parametrize("d", SCALE_DOMAINS.values(), ids=SCALE_DOMAINS.keys())
+def test_keyed_loop_equals_generic_loop_at_scale(d, ideal):
+    # Keyed material is hashed inline; the generic loop fed prf.round_bit is the spec.
+    rng = random.Random(d.size)
+    for rounds in (0, 1, 2, 340, 478):
+        m = RoundMaterial.ideal(d, rounds, SEED) if ideal else RoundMaterial.derived(d, rounds, KEY)
+        key = m.source.key
+        for tweak in (b"", rng.randbytes(8), rng.randbytes(256)):
+            td = prf.tweak_digest(key, tweak)
+            generic = RoundMaterial(
+                m.subkeys, CallableSource(lambda i, xh: prf.round_bit(key, i, td, xh))
+            )
+            for x in (0, 1, d.size - 1, rng.randrange(d.size)):
+                y = encipher(d, m, x, tweak)
+                assert y == encipher(d, generic, x)
+                assert decipher(d, m, y, tweak) == x == decipher(d, generic, y)
+
+
+def test_keyed_loop_skips_the_bit_call_chain(monkeypatch):
+    d = Domain(10**9)
+    materials = [RoundMaterial.derived(d, 40, KEY), RoundMaterial.ideal(d, 40, SEED)]
+    before = [
+        (encipher(d, m, 7, b"tw"), encipher(d, m.reversed(), 7, b"tw"),
+         encipher_traced(d, m, 7, b"tw"))
+        for m in materials
+    ]
+
+    def refuse(*args):
+        raise AssertionError("round bit through the call chain")
+
+    monkeypatch.setattr(prf, "round_bit", refuse)
+    monkeypatch.setattr(DerivedSource, "bit", refuse)
+    for m, (y, _, _) in zip(materials, before):
+        assert encipher(d, m, 7, b"tw") == y
+        assert decipher(d, m, y, b"tw") == 7
+    monkeypatch.undo()
+
+    # Reversed material and traces still ask the source for every bit.
+    calls = []
+    keyed_bit = DerivedSource.bit
+    monkeypatch.setattr(
+        DerivedSource, "bit", lambda self, i, ctx, xh: calls.append(i) or keyed_bit(self, i, ctx, xh)
+    )
+    for m, (_, y_reversed, traced) in zip(materials, before):
+        assert encipher(d, m.reversed(), 7, b"tw") == y_reversed
+        assert encipher_traced(d, m, 7, b"tw") == traced
+    assert calls == 2 * (list(range(40, 0, -1)) + list(range(1, 41)))
+
+    # So do the test sources, in round order forwards and backwards.
+    coins = []
+    replay = RoundMaterial((3, 8), CallableSource(lambda i, xh: coins.append(i) or 1))
+    assert encipher(Domain(10), replay, 7) == 2 and decipher(Domain(10), replay, 2) == 7
+    assert coins == [1, 2, 2, 1]
+    calls.clear()
+    monkeypatch.setattr(ConstantSource, "bit", lambda self, i, ctx, xh: calls.append(i) or 1)
+    constant = RoundMaterial((3, 8), ConstantSource(1))
+    assert encipher(Domain(10), constant, 7) == 2 and decipher(Domain(10), constant, 2) == 7
+    assert calls == [1, 2, 2, 1]
 
 
 def test_derived_schedule_is_memoized_per_key():
@@ -325,6 +398,8 @@ def test_subkey_domain_mismatch():
 
 
 def test_round_cap():
+    # Every round index fits the 4-byte field of a round-bit message.
+    assert MAX_ROUNDS < 2**32
     with pytest.raises(ParameterError):
         RoundMaterial(tuple([0] * (MAX_ROUNDS + 1)), ConstantSource(0))
     with pytest.raises(ParameterError):
