@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import math
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import fpe, mixing
 from .domain import Domain, GroupLaw
-from .errors import DomainError, ParameterError, RoundCapExceeded
+from .errors import DomainError, ParameterError
 from .prf import PrfKey
 
 _MODEL_CHOICES = [m.value for m in bounds_mod.Model]
@@ -82,19 +83,14 @@ def _add_crypt_parser(sub, name: str, doc: str) -> None:
     p.add_argument("--radix", type=int, required=True, help="digit base, 2..36")
     p.add_argument("--length", type=int, required=True, help="digit count")
     p.add_argument("--tweak", default="", help="tweak as hex bytes (default: empty)")
-    p.add_argument("--rounds", default="auto", help="round count, or 'auto' to plan")
+    p.add_argument("--rounds", default="auto", help="round count, or 'auto' (needs --queries)")
     p.add_argument(
         "--target-adv",
         type=float,
         default=fpe.DEFAULT_TARGET_ADVANTAGE,
         help="advantage target for auto rounds",
     )
-    p.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        help="query budget for auto rounds (default: N-1, usually unreachable)",
-    )
+    p.add_argument("--queries", type=int, help="query budget, required for auto rounds")
     p.add_argument("--xor", action="store_true", help="use the XOR law (power-of-two N only)")
     p.add_argument("text", help="input digit string")
     p.set_defaults(run=_cmd_crypt)
@@ -142,21 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_crypt(args) -> int:
+    rounds = _parse_rounds(args.rounds)
+    if rounds is None and args.queries is None:
+        raise _UsageError(
+            f"swapornot {args.command}: --rounds auto needs --queries, the number of values "
+            "this key will encrypt (at q near N the log of the bound falls by only about "
+            "1/(8N) per round); pass --queries or give --rounds"
+        )
     key = PrfKey.from_hex(args.key)
     spec = fpe.FormatSpec(args.radix, args.length)
     tweak = _parse_hex(args.tweak, "tweak")
-    rounds = _parse_rounds(args.rounds)
     if rounds is None:
-        try:
-            rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
-        except RoundCapExceeded as exc:
-            if args.queries is not None:
-                raise
-            raise RoundCapExceeded(
-                f"{exc}; without --queries the budget is q = N-1, where the log of "
-                "the bound falls by only about 1/(8N) per round: pass --queries with "
-                "the number of values this key will encrypt, or give --rounds"
-            ) from exc
+        rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
         print(f"auto rounds: {rounds}", file=sys.stderr)
     work = fpe.fpe_encrypt if args.command == "encrypt" else fpe.fpe_decrypt
     print(work(key, spec, args.text, tweak, rounds, xor_law=args.xor))
@@ -211,8 +204,17 @@ def _cmd_mixlab(args) -> int:
                 f"{_fmt(row.tvd):>12} {_fmt(row.bound):>12}  {'pass' if row.ok else 'fail'}"
             )
         print(f"{len(rows)} rows, {failures} violations")
+    tightest = ""
+    if rows:  # a float bound underflows to 0.0 after a few thousand rounds
+        ratios = [row.tvd / row.bound if row.bound else math.inf for row in rows]
+        row = rows[ratios.index(max(ratios))]
+        tightest = (
+            f"tightest {row.law.value} N={row.domain_size} q={row.tracked} r={row.rounds} "
+            f"tvd/bound={max(ratios):.3g}, "
+        )
     print(
-        f"mixlab: {len(rows)} rows, {failures} violations, {elapsed:.3f} s", file=sys.stderr
+        f"mixlab: {len(rows)} rows, {failures} violations, {tightest}{elapsed:.3f} s",
+        file=sys.stderr,
     )
     return 1 if failures else 0
 

@@ -95,26 +95,21 @@ def decode_digits(value: int, spec: FormatSpec) -> str:
 
 
 def plan_rounds(
-    spec: FormatSpec,
-    queries: int | None = None,
-    target_advantage: float = DEFAULT_TARGET_ADVANTAGE,
+    spec: FormatSpec, queries: int, target_advantage: float = DEFAULT_TARGET_ADVANTAGE
 ) -> int:
-    """Round count meeting a CCA advantage target for this format.
-
-    The query budget defaults to N - 1, the largest the bound's hypotheses
-    allow; guarding against that many queries is usually unreachable within
-    the round cap, so realistic callers pass their actual budget.
-    """
-    n = spec.domain_size
-    if queries is None:
-        queries = n - 1
+    """Round count meeting a CCA advantage target against ``queries`` queries on this format."""
     # The CCA planner only returns even counts >= 2, i.e. >= MIN_FPE_ROUNDS.
-    return bounds.min_rounds(n, queries, target_advantage, bounds.Model.CCA)
+    return bounds.min_rounds(spec.domain_size, queries, target_advantage, bounds.Model.CCA)
 
 
 def _fpe(cipher, key, spec, text, tweak, rounds, queries, target_advantage, xor_law) -> str:
     # ``cipher`` is encipher or decipher, read from this module's globals by the caller.
     if rounds is None:
+        if queries is None:
+            raise ParameterError(
+                "planned rounds (rounds=None) need queries, the query budget: at q near N "
+                "the log of the bound falls by only about 1/(8N) per round"
+            )
         rounds = plan_rounds(spec, queries, target_advantage)
     if rounds < MIN_FPE_ROUNDS:
         raise ParameterError(f"FPE requires at least {MIN_FPE_ROUNDS} rounds, got {rounds}")

@@ -14,13 +14,11 @@ treating their coins as independent would silently break the permutation
 property, so the transition groups tracked positions into per-subkey orbits
 before enumerating coins.
 
-The arithmetic is exact.  One round's transition is compiled once per
-(domain, q) into integer move counts out of N * 2^q equally likely
-(subkey, coins) outcomes, and every round steps integer numerators over one
-common denominator, so every probability after r rounds is a
-:class:`fractions.Fraction` whose denominator divides (N * 2^q)^r.  Total
-variation distances are exact ``Fraction``s too, and the sweep compares
-them with the float bound without rounding.
+The arithmetic is exact.  One round is compiled once per (domain, q) into
+integer move counts out of N * 2^q equally likely (subkey, coins) outcomes.
+A distribution is integer weights over one denominator, the start's times
+(N * 2^q)^r after r rounds.  Its ``Fraction`` probabilities are a view built
+on demand; the exact TVD is read from the weights and compared exactly.
 """
 
 from __future__ import annotations
@@ -52,62 +50,66 @@ MAX_ROUND_OUTCOMES = 1 << 24
 TRANSITION_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
+def _check_support(domain: Domain, tracked: int) -> None:
+    if not 1 <= tracked <= domain.size:
+        raise ParameterError(f"tracked cards must be in [1, {domain.size}], got {tracked}")
+    size = math.perm(domain.size, tracked)
+    if size > MAX_SUPPORT:
+        raise ParameterError(f"support size {size} exceeds guard {MAX_SUPPORT}")
+
+
+@dataclass(frozen=True, init=False)
 class ProjectedDistribution:
     """Exact distribution of q tracked cards' positions (ordered, distinct).
 
-    Probabilities are stored as :class:`fractions.Fraction`s (other numbers
-    are converted exactly) and must sum to exactly 1.
+    Integer ``weights`` (state -> numerator) over one ``denominator``.  The
+    constructor takes probabilities >= 0 summing to exactly 1, converted with
+    ``Fraction(p)``; ``probs`` is their lowest-terms view, built on first use.
     """
 
     domain: Domain
     tracked: int
-    probs: dict[tuple[int, ...], Fraction]
+    weights: dict[tuple[int, ...], int]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        n = self.domain.size
-        if not 1 <= self.tracked <= n:
-            raise ParameterError(f"tracked cards must be in [1, {n}], got {self.tracked}")
-        if self.support_size() > MAX_SUPPORT:
-            raise ParameterError(
-                f"support size {self.support_size()} exceeds guard {MAX_SUPPORT}"
-            )
-        probs = {
-            tup: p if type(p) is Fraction else Fraction(p) for tup, p in self.probs.items()
-        }
-        object.__setattr__(self, "probs", probs)
-        for tup in probs:
-            if len(tup) != self.tracked or len(set(tup)) != self.tracked:
-                raise DomainError(f"support tuple {tup} is not {self.tracked} distinct positions")
+    def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
+        _check_support(domain, tracked)
+        exact = {tup: Fraction(p) for tup, p in probs.items()}
+        for tup, p in exact.items():
+            if len(tup) != tracked or len(set(tup)) != tracked:
+                raise DomainError(f"support tuple {tup} is not {tracked} distinct positions")
             for x in tup:
-                self.domain.check_element(x)
-        denominator, numerators = _numerators(probs)
-        if sum(numerators) != denominator:
-            total = Fraction(sum(numerators), denominator)
-            raise DomainError(f"probabilities sum to {total}, not 1")
+                domain.check_element(x)
+            if p < 0:
+                raise DomainError(f"probability of {tup} is negative: {p}")
+        denominator = math.lcm(*(p.denominator for p in exact.values()))
+        weights = {tup: p.numerator * (denominator // p.denominator) for tup, p in exact.items()}
+        self._set(domain, tracked, weights, denominator)
+
+    def _set(self, domain, tracked, weights, denominator) -> "ProjectedDistribution":
+        total = sum(weights.values())
+        if total != denominator:
+            raise DomainError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
+        vars(self).update(domain=domain, tracked=tracked, weights=weights, denominator=denominator)
+        return self
+
+    @functools.cached_property
+    def probs(self) -> dict[tuple[int, ...], Fraction]:
+        return {tup: Fraction(w, self.denominator) for tup, w in self.weights.items()}
 
     def support_size(self) -> int:
         return math.perm(self.domain.size, self.tracked)
 
     @classmethod
     def point_mass(cls, domain: Domain, start: tuple[int, ...]) -> "ProjectedDistribution":
-        return cls(domain, len(start), {tuple(start): Fraction(1)})
+        return cls(domain, len(start), {tuple(start): 1})
 
     @classmethod
     def stationary(cls, domain: Domain, tracked: int) -> "ProjectedDistribution":
         """Uniform over ordered distinct tuples: q draws without replacement."""
-        size = math.perm(domain.size, tracked)
-        if size > MAX_SUPPORT:
-            raise ParameterError(f"support size {size} exceeds guard {MAX_SUPPORT}")
-        p = Fraction(1, size)
-        probs = {tup: p for tup in itertools.permutations(range(domain.size), tracked)}
-        return cls(domain, tracked, probs)
-
-
-def _numerators(probs: Mapping[tuple[int, ...], Fraction]) -> tuple[int, list[int]]:
-    """The least common denominator of ``probs`` and each value's numerator over it."""
-    denominator = math.lcm(*(p.denominator for p in probs.values()))
-    return denominator, [p.numerator * (denominator // p.denominator) for p in probs.values()]
+        _check_support(domain, tracked)
+        weights = dict.fromkeys(itertools.permutations(range(domain.size), tracked), 1)
+        return object.__new__(cls)._set(domain, tracked, weights, len(weights))
 
 
 class _Transition(NamedTuple):
@@ -185,30 +187,27 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
 def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     """Exact one-round transition of the projected shuffle."""
     t = _transition(dist.domain, dist.tracked)
-    denominator, numerators = _numerators(dist.probs)
     out = [0] * len(t.states)
-    for tup, weight in zip(dist.probs, numerators):
+    for tup, weight in dist.weights.items():
         for count, dests in t.moves[t.index[tup]]:
             share = weight * count
             for dest in dests:
                 out[dest] += share
-    denominator *= t.outcomes
-    probs = {tup: Fraction(w, denominator) for tup, w in zip(t.states, out) if w}
-    return ProjectedDistribution(dist.domain, dist.tracked, probs)
+    weights = {tup: w for tup, w in zip(t.states, out) if w}
+    new = object.__new__(ProjectedDistribution)
+    return new._set(dist.domain, dist.tracked, weights, dist.denominator * t.outcomes)
 
 
 def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     """Exact total variation distance (half the L1 distance) to sampling without replacement.
 
-    With common denominator D and support size S, each state is |num/D - 1/S|
-    away from uniform, so the distance is sum(|num*S - D|) / (2*D*S), where
-    every unreached state contributes D.
+    With weights w over denominator D and support size S, each state is
+    |w/D - 1/S| away from uniform, so the distance is
+    sum(|w*S - D|) / (2*D*S), where every unreached state contributes D.
     """
-    size = dist.support_size()
-    denominator, numerators = _numerators(dist.probs)
-    gap = sum(abs(num * size - denominator) for num in numerators)
-    gap += (size - len(numerators)) * denominator
-    return Fraction(gap, 2 * denominator * size)
+    s, d = dist.support_size(), dist.denominator
+    gap = sum(abs(w * s - d) for w in dist.weights.values()) + (s - len(dist.weights)) * d
+    return Fraction(gap, 2 * d * s)
 
 
 def exact_tvd_after(

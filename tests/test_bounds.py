@@ -204,8 +204,8 @@ def test_min_rounds_cap_exceeded():
 
 
 def test_unreachable_target_costs_one_evaluation(monkeypatch):
-    # `encrypt --rounds auto` without --queries plans for q = N-1, which no
-    # count within the cap reaches; the planner should see that at once.
+    # An explicit q = N-1 budget, which no count within the cap reaches: the
+    # planner should see that at once, and never quietly weaken the target.
     row = bounds._MODELS[Model.CCA]
     calls = []
 
@@ -215,7 +215,7 @@ def test_unreachable_target_costs_one_evaluation(monkeypatch):
 
     monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(ln=counting_ln))
     with pytest.raises(RoundCapExceeded, match="no round count <= 65536"):
-        plan_rounds(FormatSpec(10, 9))
+        plan_rounds(FormatSpec(10, 9), 10**9 - 1)
     assert len(calls) == 1
 
 

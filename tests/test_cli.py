@@ -105,12 +105,15 @@ def test_encrypt_auto_rounds_with_budget(capsys):
 
 
 def test_encrypt_auto_rounds_default_budget_fails(capsys):
-    code, _, err = run(
-        capsys, "encrypt", "--key", KEY, "--radix", "10", "--length", "9", "123456789",
-    )
-    assert code == 2
-    assert "advantage" in err
-    assert "--queries" in err
+    # Auto rounds without a query budget are refused as a usage error, before
+    # the key is parsed or the planner runs: there is no q = N-1 default.
+    for command in ("encrypt", "decrypt"):
+        for key in (KEY, "not-hex"):
+            code, out, err = run(
+                capsys, command, "--key", key, "--radix", "10", "--length", "9", "123456789",
+            )
+            assert code == 1 and out == ""
+            assert "--queries" in err and "--rounds" in err and "1/(8N)" in err
 
 
 def test_encrypt_xor_flag(capsys):
@@ -161,6 +164,12 @@ def test_mixlab_diagnostics_go_to_stderr(capsys):
         assert "mixlab:" not in out
         (line,) = err.splitlines()
         assert line.startswith("mixlab: 18 rows, 0 violations, ") and line.endswith(" s")
+        # The row with the largest tvd/bound: tvd 0.479167 under a bound of 1.
+        assert " violations, tightest add N=4 q=2 r=1 tvd/bound=0.479, " in line
+    # No rows, no tightest row.
+    code, _, err = run(capsys, "mixlab", "--max-n", "2")
+    assert code == 0
+    assert err.startswith("mixlab: 0 rows, 0 violations, ") and "tightest" not in err
 
 
 def test_vectors_matches_frozen_file(capsys):

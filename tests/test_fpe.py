@@ -135,10 +135,16 @@ def test_plan_rounds_with_budget():
 
 
 def test_plan_rounds_default_budget_unreachable():
-    # The default budget is q = N-1, which needs ~8N rounds; the planner
-    # must say so rather than silently weakening the target.
+    # There is no default budget: planned rounds need the caller's, refused
+    # up front (even before the digits are checked).  An explicit q = N-1
+    # needs ~8N rounds, and the planner says so rather than weakening the target.
+    spec = FormatSpec(10, 9)
+    for work in (fpe_encrypt, fpe_decrypt):
+        with pytest.raises(ParameterError, match="queries") as info:
+            work(KEY, spec, "12345678x", b"", None)
+        assert info.type is ParameterError
     with pytest.raises(RoundCapExceeded):
-        plan_rounds(FormatSpec(10, 9))
+        plan_rounds(spec, 10**9 - 1)
 
 
 def test_reused_key_matches_fresh_key():

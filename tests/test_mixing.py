@@ -97,6 +97,21 @@ def test_validation_grid_shape_and_pass():
     assert all(row.ok for row in rows)
 
 
+def test_sweep_validates_only_its_start_tuples(monkeypatch):
+    # Steps carry exact weights forward without re-checking any tuple: the
+    # 24 (domain, q) pairs of this grid check their starts' sum(q) = 48 elements.
+    calls = []
+    check = Domain.check_element
+
+    def counting(self, x, name="element"):
+        calls.append(x)
+        return check(self, x, name)
+
+    monkeypatch.setattr(Domain, "check_element", counting)
+    assert len(list(validation_grid(8, 3, 12))) == 288
+    assert len(calls) == 48
+
+
 def test_support_guard():
     with pytest.raises(ParameterError):
         exact_tvd_after(Domain(1000), 1, 3, (0, 1, 2))  # ~1e9 tuples
@@ -125,6 +140,9 @@ def test_bad_start_tuples():
 def test_probability_sum_validated():
     with pytest.raises(DomainError):
         ProjectedDistribution(Domain(4), 1, {(0,): 0.5, (1,): 0.4})
+    # The sum is 1, but no probability may be negative.
+    with pytest.raises(DomainError, match="negative"):
+        ProjectedDistribution(Domain(4), 1, {(0,): -0.5, (1,): 1.5})
 
 
 def test_stationary_probabilities():
@@ -188,13 +206,24 @@ def test_step_equals_whole_deck_oracle(domain):
     # Exact equality, no tolerance: both sides are Fractions.
     n = domain.size
     for q in range(1, min(3, n) + 1):
-        for start in (tuple(range(q)), tuple(range(n - 1, n - 1 - q, -1))):
-            dist = ProjectedDistribution.point_mass(domain, start)
-            expected = dict(dist.probs)
-            for _ in range(3):
+        # Two point masses and a mix of a float and Fractions, which starts
+        # over a denominator of 6 (3 when N = 2) rather than 1.
+        states = list(itertools.permutations(range(n), q))
+        mix = (Fraction(1, 3), 0.5, Fraction(1, 6))
+        if len(states) == 2:  # N = 2
+            mix = (Fraction(1, 3), Fraction(2, 3))
+        starts = [
+            ProjectedDistribution.point_mass(domain, tuple(range(q))),
+            ProjectedDistribution.point_mass(domain, tuple(range(n - 1, n - 1 - q, -1))),
+            ProjectedDistribution(domain, q, dict(zip(states[-3:], mix))),
+        ]
+        for start in starts:
+            dist, expected = start, dict(start.probs)
+            for r in range(1, 4):
                 dist = step(dist)
                 expected = reference_shuffle_step(n, domain.law.value, expected)
                 assert dist.probs == expected
+                assert dist.denominator == start.denominator * (n << q) ** r
 
 
 @pytest.mark.parametrize(
@@ -213,6 +242,10 @@ def test_probabilities_are_exact_fractions():
     dist = ProjectedDistribution(Domain(4), 1, {(0,): 0.5, (1,): 0.25, (3,): Fraction(1, 4)})
     assert dist.probs == {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (3,): Fraction(1, 4)}
     assert all(type(p) is Fraction for p in dist.probs.values())
+    # One common denominator, the least: lcm(2, 6, 15) = 30 is none of the inputs'.
+    probs = {(0,): 0.5, (1,): Fraction(1, 6), (2,): Fraction(1, 15), (3,): Fraction(4, 15)}
+    dist = ProjectedDistribution(Domain(4), 1, probs)
+    assert (dist.weights, dist.denominator) == ({(0,): 15, (1,): 5, (2,): 2, (3,): 8}, 30)
     # 0.1 is not exactly a tenth, so ten of them do not sum to exactly 1.
     with pytest.raises(DomainError):
         ProjectedDistribution(Domain(10), 1, {(x,): 0.1 for x in range(10)})
