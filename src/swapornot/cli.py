@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import math
 import sys
 import time
 from fractions import Fraction
@@ -205,12 +204,11 @@ def _cmd_mixlab(args) -> int:
             )
         print(f"{len(rows)} rows, {failures} violations")
     tightest = ""
-    if rows:  # a float bound underflows to 0.0 after a few thousand rounds
-        ratios = [row.tvd / row.bound if row.bound else math.inf for row in rows]
-        row = rows[ratios.index(max(ratios))]
+    if rows:
+        row = max(rows, key=lambda row: row.tvd / row.bound)
         tightest = (
             f"tightest {row.law.value} N={row.domain_size} q={row.tracked} r={row.rounds} "
-            f"tvd/bound={max(ratios):.3g}, "
+            f"tvd/bound={row.tvd / row.bound:.3g}, "
         )
     print(
         f"mixlab: {len(rows)} rows, {failures} violations, {tightest}{elapsed:.3f} s",

@@ -256,8 +256,10 @@ def validation_grid(
     ModAdd covers N in 3..max_size; XOR covers the powers of two in range.
     Starting positions are the canonical tuple.  Every row must satisfy
     tvd <= bound; a violation means the cipher, the DP, or the bound
-    arithmetic is wrong.
+    arithmetic is wrong.  ``max_rounds`` is capped at ``MAX_EXACT_ROUNDS``.
     """
+    if not 0 <= max_rounds <= MAX_EXACT_ROUNDS:
+        raise ParameterError(f"rounds must be in [0, {MAX_EXACT_ROUNDS}], got {max_rounds}")
     domains = [Domain(n, GroupLaw.MOD_ADD) for n in range(3, max_size + 1)]
     domains += [
         Domain(n, GroupLaw.XOR)

@@ -27,16 +27,17 @@ object; neither takes part in its equality, hash, repr, copies or pickles.
 the tests compare the cipher against them.  The cipher's production loop
 does not call them: it copies the key's keyed state and hashes each round's
 message inline, from ``round_prefixes`` and the tweak digest, in this same
-layout.  So an override of ``PrfKey.block`` sees tweak digests and subkey
-draws, but not round bits.
+layout.  Subkey draws are hashed inline too, unless the key's class overrides
+``block``: an override sees tweak digests and every subkey draw, not round bits.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Iterable, Iterator
 
 from .domain import Domain
 from .errors import DomainError, ParameterError
@@ -48,6 +49,7 @@ BLOCK_BYTES = 16
 # Largest value a 4-byte counter/index field can carry.
 _MAX_INDEX = 0xFFFFFFFF
 MAX_TWEAK_BYTES = 0xFFFFFFFF
+_DRAW_TABLE_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -142,35 +144,55 @@ def round_bit(key: PrfKey, round_index: int, td: TweakDigest, x_hat: int) -> int
     return key.block(encode_round_bit(round_index, td, x_hat))[-1] & 1
 
 
-def sample_uniform(block_at, size: int, count: int) -> tuple[int, ...]:
+def sample_uniform(blocks: Iterable[bytes], size: int, count: int) -> tuple[int, ...]:
     """Draw ``count`` independent uniform elements of [0, size) from a block stream.
 
-    ``block_at(counter)`` must return the 16-byte block for a 1-based draw
-    counter.  Candidates are the first 8 bytes of a block (big-endian) when
-    size <= 2**63, the full block otherwise; candidates at or above
-    size * floor(2**w / size) are rejected, which removes modulo bias exactly.
-    Fewer than 2 draws per element are needed on average.
+    ``blocks`` yields the 16-byte blocks of draw counters 1, 2, ... in order, and
+    a stream that ends first raises ``ParameterError``.  Candidates are the first
+    8 bytes of a block (big-endian) when size <= 2**63, the full block otherwise;
+    candidates at or above size * floor(2**w / size) are rejected, which removes
+    modulo bias exactly.  Fewer than 2 draws per element are needed on average.
+    ``derive_subkeys`` hashes its blocks from the key's keyed state, or calls
+    ``block`` for each when the key's class overrides it.
     """
     if size < 2:
         raise DomainError(f"size must be >= 2, got {size}")
     width_bytes = 8 if size <= 1 << 63 else 16
     threshold = ((1 << (8 * width_bytes)) // size) * size
-    out = []
-    counter = 1
-    while len(out) < count:
-        if counter > _MAX_INDEX:
+    out: list[int] = []
+    if count > 0:
+        from_bytes = int.from_bytes
+        for block in blocks:
+            candidate = from_bytes(block[:width_bytes], "big")
+            if candidate < threshold:
+                out.append(candidate % size)
+                if len(out) == count:
+                    break
+        else:
             raise ParameterError("subkey derivation exhausted the 32-bit draw counter")
-        candidate = int.from_bytes(block_at(counter)[:width_bytes], "big")
-        counter += 1
-        if candidate < threshold:
-            out.append(candidate % size)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_table() -> tuple[bytes, ...]:
+    """The messages of draw counters 1.._DRAW_TABLE_SIZE, built on first use."""
+    return tuple(map(encode_subkey_draw, range(1, _DRAW_TABLE_SIZE + 1)))
+
+
+def _keyed_blocks(copy, messages: Iterable[bytes]) -> Iterator[bytes]:
+    """``PrfKey.block`` of each message, hashed from a bound ``copy`` of the keyed state."""
+    for message in messages:
+        h = copy()
+        h.update(message)
+        yield h.digest()
 
 
 def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    block = key.block
-    # encode_subkey_draw inlined: sample_uniform keeps the counter in [1, 2**32).
-    return sample_uniform(lambda c: block(b"K" + c.to_bytes(4, "big")), domain.size, rounds)
+    tail = map(encode_subkey_draw, range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1))
+    messages = itertools.chain(_draw_table(), tail)
+    if type(key).block is PrfKey.block:
+        return sample_uniform(_keyed_blocks(key._keyed.copy, messages), domain.size, rounds)
+    return sample_uniform(map(key.block, messages), domain.size, rounds)

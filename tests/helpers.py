@@ -6,9 +6,13 @@ evaluation.  The reference cipher materializes each round as an explicit
 permutation table and composes them, instead of tracing a single element
 through the loop.  The projected-shuffle oracle shuffles the whole deck,
 one coin per pair, and follows the tracked cards through every outcome,
-instead of compiling a transition on the tracked positions alone.
+instead of compiling a transition on the tracked positions alone.  The
+subkey oracle builds a fresh keyed BLAKE2b hasher for every draw and
+rejects by the remainder 2^w mod N, instead of streaming copies of one
+keyed state against a precomputed threshold.
 """
 
+import hashlib
 import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -76,6 +80,26 @@ def oracle_thorp(n: int, passes: int, q: int) -> Decimal:
 
 def relative_error(value: float, expected: Decimal) -> float:
     return abs((Decimal(value) - expected) / expected)
+
+
+def reference_subkeys(key_bytes: bytes, person: bytes, n: int, count: int):
+    """Subkeys by the prf spec, and the number of draws they consumed.
+
+    Draw counter c hashes ``b"K"`` + c as 4-byte big-endian; a candidate is
+    the block's first 8 bytes when n <= 2^63, else all 16, and is kept when
+    it lies below 2^w - (2^w mod n).
+    """
+    width = 8 if n <= 1 << 63 else 16
+    limit = (1 << (8 * width)) - (1 << (8 * width)) % n
+    out, counter = [], 0
+    while len(out) < count:
+        counter += 1
+        h = hashlib.blake2b(digest_size=16, key=key_bytes, person=person)
+        h.update(b"K" + counter.to_bytes(4, "big"))
+        candidate = int.from_bytes(h.digest()[:width], "big")
+        if candidate < limit:
+            out.append(candidate % n)
+    return tuple(out), counter
 
 
 def reference_encipher(n: int, law: str, subkeys, bit_fn, x: int) -> int:

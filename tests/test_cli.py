@@ -172,6 +172,18 @@ def test_mixlab_diagnostics_go_to_stderr(capsys):
     assert err.startswith("mixlab: 0 rows, 0 violations, ") and "tightest" not in err
 
 
+def test_mixlab_rounds_capped_where_the_bound_is_exact(capsys):
+    # Past 64 rounds the sweep is refused.  Up to 64 the float bound stays far
+    # above underflow, so no positive exact TVD meets a bound of 0.0.
+    code, out, err = run(capsys, "mixlab", "--max-n", "3", "--max-q", "1", "--max-r", "65")
+    assert code == 2 and out == ""
+    assert "rounds must be in [0, 64], got 65" in err
+    code, out, err = run(capsys, "mixlab", "--max-n", "3", "--max-q", "1", "--max-r", "64")
+    assert code == 0
+    assert out.splitlines()[-1] == "64 rows, 0 violations"
+    assert err.startswith("mixlab: 64 rows, 0 violations, tightest ")
+
+
 def test_vectors_matches_frozen_file(capsys):
     code, out, _ = run(capsys, "vectors")
     assert code == 0

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -17,6 +18,9 @@ from swapornot import (
     round_bit,
     tweak_digest,
 )
+from swapornot import prf
+from swapornot.cipher import _IdealKey
+from swapornot.errors import ParameterError
 from swapornot.prf import (
     KEY_BYTES,
     MAX_TWEAK_BYTES,
@@ -24,6 +28,8 @@ from swapornot.prf import (
     encode_subkey_draw,
     sample_uniform,
 )
+
+from helpers import reference_subkeys
 
 KEY = PrfKey(bytes(range(KEY_BYTES)))
 OTHER_KEY = PrfKey(bytes(range(1, KEY_BYTES + 1)))
@@ -187,6 +193,8 @@ def _five_sigma_counts(counts, probabilities, draws):
 def test_subkey_uniformity_small_domains(n):
     draws = 10**6
     samples = derive_subkeys(KEY, Domain(n), draws)
+    # A million draws leave the cached message table at its fixed size.
+    assert len(prf._draw_table()) <= prf._DRAW_TABLE_SIZE
     counts = [0] * n
     for s in samples:
         counts[s] += 1
@@ -221,5 +229,66 @@ def test_sample_uniform_rejection_threshold():
         2: ((1 << 64) - 1).to_bytes(8, "big") + bytes(8),
         3: (threshold - 3).to_bytes(8, "big") + bytes(8),
     }
-    out = sample_uniform(lambda c: blocks[c], n, 1)
+    out = sample_uniform(map(blocks.__getitem__, itertools.count(1)), n, 1)
     assert out == ((threshold - 3) % n,)
+
+
+def test_sample_uniform_stream_end_is_refused():
+    n = 10
+    rejected = (((1 << 64) // n) * n).to_bytes(8, "big") + bytes(8)
+    accepted = bytes(16)
+    for stream in ([rejected] * 3, [accepted, rejected], []):
+        with pytest.raises(ParameterError, match="exhausted"):
+            sample_uniform(iter(stream), n, 2)
+    assert sample_uniform(iter([accepted, rejected, accepted]), n, 2) == (0, 0)
+    assert sample_uniform(iter(()), n, 0) == ()
+
+
+# Both candidate widths, the rejection edge (36^12 rejects about 23% of
+# candidates) and, in PAST_TABLE, draws past the cached message table.
+PAST_TABLE = [(36**12, 4000), (2**128, prf._DRAW_TABLE_SIZE + 3)]
+ORACLE_CASES = [
+    (n, rounds)
+    for n in (2, 3, 10**9, 36**12, 2**63, 2**63 + 1, 2**128)
+    for rounds in (1, 2, 478)
+] + PAST_TABLE
+
+
+@pytest.mark.parametrize("key_cls", [PrfKey, _IdealKey])
+@pytest.mark.parametrize("n,rounds", ORACLE_CASES)
+def test_derive_subkeys_matches_fresh_hasher_oracle(key_cls, n, rounds):
+    key = key_cls(bytes(range(3, 3 + KEY_BYTES)))
+    expected, draws = reference_subkeys(key.key_bytes, key_cls.person, n, rounds)
+    assert derive_subkeys(key, Domain(n), rounds) == expected
+    if (n, rounds) in PAST_TABLE:
+        assert draws > prf._DRAW_TABLE_SIZE
+
+
+PINNED_SUBKEYS = {
+    PrfKey: (1332622707073169332, 551920828741007760, 3622930957349674794, 4606503980989446624),
+    _IdealKey: (4732773295600522306, 3658036164678121953, 2749974133943648428, 1305537165460267175),
+}
+
+
+def test_derive_subkeys_hashes_without_block(monkeypatch):
+    def refuse(self, message):
+        raise AssertionError("subkey draw through PrfKey.block")
+
+    monkeypatch.setattr(PrfKey, "block", refuse)
+    for key_cls, pinned in PINNED_SUBKEYS.items():
+        assert derive_subkeys(key_cls(bytes(range(KEY_BYTES))), Domain(36**12), 4) == pinned
+
+
+def test_block_override_sees_every_subkey_draw():
+    messages = []
+
+    class CountingKey(PrfKey):
+        def block(self, message: bytes) -> bytes:
+            messages.append(message)
+            return PrfKey.block(self, message)
+
+    n, rounds = 36**12, 478
+    expected, draws = reference_subkeys(KEY.key_bytes, PrfKey.person, n, rounds)
+    assert derive_subkeys(CountingKey(KEY.key_bytes), Domain(n), rounds) == expected
+    assert messages == [encode_subkey_draw(c) for c in range(1, draws + 1)]
+    assert draws > rounds
