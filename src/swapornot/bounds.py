@@ -4,7 +4,9 @@ All bounds share the shape  prefactor(N, R) * ((q + N) / 2N)^exponent(R)
 and are evaluated in log space with 60-digit arithmetic before clamping to
 [0, 1]: the prefactor alone overflows doubles for 64-bit domains, and the
 credit-card-sized recipe lands within 10% of its target, so double-precision
-shortcuts are not acceptable here.
+shortcuts are not acceptable here.  The arithmetic runs in a private mpmath
+context fixed at ``PRECISION_DPS`` digits, never in mpmath's process-global
+``mp``, so other mpmath users and other threads cannot change a result.
 
 Models:
 
@@ -36,18 +38,21 @@ targets need an explicit, smaller query budget.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from mpmath import mp, mpf
+from mpmath import MPContext
 
 from .cipher import MAX_ROUNDS as ROUND_CAP
 from .errors import ParameterError, RoundCapExceeded
 
 # Significant decimal digits for internal evaluation.
 PRECISION_DPS = 60
+_ctx = MPContext()
+_ctx.dps = PRECISION_DPS
 
 
 class Model(Enum):
@@ -76,37 +81,37 @@ class BoundQuery:
 
 def _ln_base(n: int, q: int):
     # ln((q + N) / 2N); <= 0 whenever q <= N.
-    return mp.log(q + n) - mp.log(2 * n)
+    return _ctx.log(q + n) - _ctx.log(2 * n)
 
 
 def _ln_ncpa(n: int, rounds: int, q: int):
     return (
-        mp.log(2)
-        + mpf(3) / 2 * mp.log(n)
-        - mp.log(rounds + 2)
-        + (mpf(rounds) / 2 + 1) * _ln_base(n, q)
+        _ctx.log(2)
+        + _ctx.mpf(3) / 2 * _ctx.log(n)
+        - _ctx.log(rounds + 2)
+        + (_ctx.mpf(rounds) / 2 + 1) * _ln_base(n, q)
     )
 
 
 def _ln_cca(n: int, rounds: int, q: int):
-    return mp.log(2) + _ln_ncpa(n, rounds // 2, q)
+    return _ctx.log(2) + _ln_ncpa(n, rounds // 2, q)
 
 
 def _ln_cca_tweak(n: int, rounds: int, q: int):
-    return mp.log(4) + _ln_ncpa(n, rounds // 2, q) / 2
+    return _ctx.log(4) + _ln_ncpa(n, rounds // 2, q) / 2
 
 
 def _ln_thorp(n: int, passes: int, q: int):
     lg_n = n.bit_length() - 1
     if q == 0:
-        return mp.mpf("-inf")
-    return mp.log(mpf(2 * q) / passes + 1) + passes * (mp.log(4 * lg_n * q) - mp.log(n))
+        return _ctx.ninf
+    return _ctx.log(_ctx.mpf(2 * q) / passes + 1) + passes * (_ctx.log(4 * lg_n * q) - _ctx.log(n))
 
 
 def _clamped(ln_value) -> float:
     if ln_value >= 0:
         return 1.0
-    return float(mp.e**ln_value)
+    return float(_ctx.e**ln_value)
 
 
 class _ModelRow(NamedTuple):
@@ -154,9 +159,7 @@ def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
 
 
 def _bound(model: Model, n: int, rounds: int, q: int) -> float:
-    row = _checked(model, n, q, rounds)
-    with mp.workdps(PRECISION_DPS):
-        return _clamped(row.ln(n, rounds, q))
+    return _clamped(_checked(model, n, q, rounds).ln(n, rounds, q))
 
 
 def ncpa_bound(domain_size: int, rounds: int, queries: int) -> float:
@@ -203,8 +206,8 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
 
     Returns an even total for the CCA models, any r >= 1 for the NCPA models,
     and a pass count for ``thorp``.  The bounds are nonincreasing in the round
-    count, so the cap is checked first and the minimum is then located by
-    doubling followed by binary search.  Raises :class:`RoundCapExceeded`,
+    count, so the cap is checked first and the minimum is then found by one
+    bisection over the allowed counts.  Raises :class:`RoundCapExceeded`,
     after that one bound evaluation, if no count within the cap reaches the
     target.  Results are memoized per (N, q, target, model); errors are not,
     so every call with bad inputs raises afresh.
@@ -220,36 +223,17 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
 @functools.lru_cache(maxsize=256)
 def _search_rounds(domain_size: int, queries: int, target: float, model: Model) -> int:
     row = _MODELS[model]
-    step = row.step
+    ln_target = _ctx.log(target)
 
-    with mp.workdps(PRECISION_DPS):
-        ln_target = mp.log(target)
+    def meets(rounds: int) -> bool:
+        return row.ln(domain_size, rounds, queries) <= ln_target
 
-        def ok(rounds: int) -> bool:
-            return row.ln(domain_size, rounds, queries) <= ln_target
-
-        # The bound falls as rounds grow, so an unreachable target shows at
-        # the largest allowed count: one evaluation instead of a search.
-        top = ROUND_CAP - ROUND_CAP % step
-        if not ok(top):
-            raise RoundCapExceeded(
-                f"no round count <= {ROUND_CAP} reaches advantage {target} "
-                f"for N={domain_size}, q={queries}, model={model.value}"
-            )
-        if ok(step):
-            return step
-        # Double until the target is met, then binary-search the gap.
-        lo = step  # known failing
-        hi = min(step * 2, top)
-        while hi < top and not ok(hi):
-            lo, hi = hi, min(hi * 2, top)
-        while hi - lo > step:
-            mid = lo + (hi - lo) // 2
-            mid -= mid % step
-            if mid <= lo:
-                mid = lo + step
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    # The bound falls as rounds grow, so an unreachable target shows at the
+    # largest allowed count: one evaluation instead of a search.
+    counts = range(row.step, ROUND_CAP + 1, row.step)
+    if not meets(counts[-1]):
+        raise RoundCapExceeded(
+            f"no round count <= {ROUND_CAP} reaches advantage {target} "
+            f"for N={domain_size}, q={queries}, model={model.value}"
+        )
+    return counts[bisect.bisect_left(counts, True, key=meets)]

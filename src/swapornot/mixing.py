@@ -11,8 +11,8 @@ stationarity is then an exact number that the advantage bound must dominate.
 
 Two cards sitting at partnered positions share one coin and swap together;
 treating their coins as independent would silently break the permutation
-property, so the transition groups tracked positions into per-subkey orbits
-before enumerating coins.
+property, so the transition names each coin by its pair's larger member, as
+the cipher does, before enumerating coins.
 
 The arithmetic is exact.  One round is compiled once per (domain, q) into
 integer move counts out of N * 2^q equally likely (subkey, coins) outcomes.
@@ -129,11 +129,10 @@ class _Transition(NamedTuple):
 def _transition(domain: Domain, tracked: int) -> _Transition:
     """Aggregate every (subkey, coin mask) of one round into integer move counts.
 
-    A round draws one of N subkeys and one coin per tracked orbit.  An orbit
-    is a tracked card whose partner is untracked (its own coin) or a pair of
-    tracked partners (one shared coin); a fixed point (x == partner) cannot
-    move.  With g orbits, each of the 2^g masks stands for 2^(q-g) of the
-    2^q coin outcomes, so every count is out of N * 2^q.
+    A round draws one of N subkeys and one coin per pair, named by the pair's
+    larger member; tracked partners share a coin, and a fixed point
+    (x == partner) cannot move.  With g coins, each of the 2^g masks stands
+    for 2^(q-g) of the 2^q coin outcomes, so every count is out of N * 2^q.
     """
     n = domain.size
     all_coins = 1 << tracked
@@ -149,25 +148,14 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     index = {tup: i for i, tup in enumerate(states)}
     moves = []
     for tup in states:
-        slot = {x: i for i, x in enumerate(tup)}
         counts: dict[int, int] = {}
         for k in range(n):
             partners = [k ^ x if xor else (k + n - x) % n for x in tup]
-            groups: list[tuple[int, ...]] = []
-            seen = [False] * tracked
-            for i, x in enumerate(tup):
-                if seen[i]:
-                    continue
-                seen[i] = True
-                xp = partners[i]
-                if xp == x:
-                    continue
-                j = slot.get(xp)
-                if j is None:
-                    groups.append((i,))
-                else:
-                    seen[j] = True
-                    groups.append((i, j))
+            pairs: dict[int, list[int]] = {}
+            for i, (x, xp) in enumerate(zip(tup, partners)):
+                if x != xp:
+                    pairs.setdefault(max(x, xp), []).append(i)
+            groups = list(pairs.values())
             weight = all_coins >> len(groups)
             for mask in range(1 << len(groups)):
                 new = list(tup)
@@ -324,11 +312,9 @@ def shuffle_sample(domain: Domain, rounds: int, seed: int) -> ShuffleSample:
         for x in range(n):
             xp = domain.partner(k, x)
             if x <= xp:
-                coins[xp] = rng.getrandbits(1)
-        for x in range(n):
-            xp = domain.partner(k, x)
-            if x < xp and coins[xp]:
-                deck[x], deck[xp] = deck[xp], deck[x]
+                coins[xp] = coin = rng.getrandbits(1)
+                if coin and x < xp:
+                    deck[x], deck[xp] = deck[xp], deck[x]
         all_coins.append(coins)
     positions = [0] * n
     for position, card in enumerate(deck):

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator
 
@@ -191,7 +192,9 @@ def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    tail = map(encode_subkey_draw, range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1))
+    # Past the table, ``encode_subkey_draw`` without its per-call range check.
+    counters = range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1)
+    tail = map(struct.Struct(">cI").pack, itertools.repeat(b"K"), counters)
     messages = itertools.chain(_draw_table(), tail)
     if type(key).block is PrfKey.block:
         return sample_uniform(_keyed_blocks(key._keyed.copy, messages), domain.size, rounds)

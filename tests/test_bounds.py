@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,13 +177,31 @@ def test_min_rounds_deployment_examples():
     assert min_rounds(2**53, 10**15, 1e-10, Model.CCA) <= 500
 
 
+# (N, q, target) per model; the answers run from one step to about 10^4 rounds.
+PLANNER_CASES = {
+    Model.NCPA: [
+        (2**30, 10**8, 1e-10), (10**6, 10**3, 1e-6), (4, 1, 0.95), (1000, 999, 0.5),
+        (2**128, 2**100, 1e-30),
+    ],
+    Model.NCPA_TWEAK: [(2**20, 10**5, 1e-8), (37, 36, 0.1), (10**12, 1, 1e-20)],
+    Model.CCA: [
+        (2**30, 10**8, 1e-10), (2**53, 10**15, 1e-10), (10**6, 10**3, 1e-6),
+        (36**12, 10**12, 1e-10), (5, 5, 0.9),
+    ],
+    Model.CCA_TWEAK: [(2**30, 10**8, 1e-10), (10**9 + 7, 10**6, 1e-12), (64, 32, 0.25)],
+    Model.THORP: [(2**64, 2**20, 1e-10), (2**64, 1, 1e-10), (2**32, 2**10, 1e-6), (2**16, 2**8, 0.5)],
+}
+
+
 def test_min_rounds_definitional():
-    for n, q, target in [(2**30, 10**8, 1e-10), (2**53, 10**15, 1e-10), (10**6, 10**3, 1e-6)]:
-        r = min_rounds(n, q, target, Model.CCA)
-        assert r % 2 == 0
-        assert cca_bound(n, r, q) <= target
-        if r > 2:
-            assert cca_bound(n, r - 2, q) > target
+    # The planner's answer meets the target, and one step fewer does not.
+    for model, cases in PLANNER_CASES.items():
+        step = bounds._MODELS[model].step
+        for n, q, target in cases:
+            r = min_rounds(n, q, target, model)
+            assert r % step == 0
+            assert BoundQuery(n, r, q, model).advantage() <= target
+            assert r == step or BoundQuery(n, r - step, q, model).advantage() > target
 
 
 def test_min_rounds_ncpa_start():
@@ -253,3 +274,59 @@ def test_bound_query_dispatch():
     assert BoundQuery(2**64, 8, 2**20, Model.THORP).advantage() == thorp_bound(
         2**64, 8, 2**20
     )
+
+
+def test_bounds_ignore_global_mpmath_precision(monkeypatch):
+    # The bounds keep their 60 digits while another thread lowers mpmath's
+    # global precision in the middle of an evaluation, and concurrent calls
+    # leave that global precision as they found it.
+    args = (2**64, 1200, 2**63)
+    expected = cca_bound(*args)
+    row = bounds._MODELS[Model.CCA]
+    inside, resume = threading.Event(), threading.Event()
+
+    def paused_ln(*ln_args):
+        inside.set()
+        resume.wait(timeout=60)
+        return row.ln(*ln_args)
+
+    monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(ln=paused_ln))
+    results = []
+    worker = threading.Thread(target=lambda: results.append(cca_bound(*args)))
+    dps = mpmath.mp.dps
+    try:
+        worker.start()
+        assert inside.wait(timeout=60)
+        mpmath.mp.dps = 15
+        resume.set()
+        worker.join(timeout=60)
+    finally:
+        resume.set()
+        mpmath.mp.dps = dps
+    assert not worker.is_alive()
+    assert mpmath.mp.dps == dps
+    assert results == [expected]
+    monkeypatch.undo()
+
+    prec = mpmath.mp.prec
+    wrong = []
+
+    def work(i: int) -> None:
+        for j in range(40):
+            if cca_bound(*args) != expected:
+                wrong.append(i)
+            min_rounds(2**40 + i, 10**6 + j, 1e-10, Model.CCA)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert mpmath.mp.prec == prec
