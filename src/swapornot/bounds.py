@@ -84,13 +84,15 @@ def _ln_base(n: int, q: int):
     return _ctx.log(q + n) - _ctx.log(2 * n)
 
 
+@functools.lru_cache(maxsize=256)
+def _ncpa_terms(n: int, q: int):
+    # The round-independent terms of _ln_ncpa: ln(2 N^{3/2}) and ln((q + N) / 2N).
+    return _ctx.log(2) + _ctx.mpf(3) / 2 * _ctx.log(n), _ln_base(n, q)
+
+
 def _ln_ncpa(n: int, rounds: int, q: int):
-    return (
-        _ctx.log(2)
-        + _ctx.mpf(3) / 2 * _ctx.log(n)
-        - _ctx.log(rounds + 2)
-        + (_ctx.mpf(rounds) / 2 + 1) * _ln_base(n, q)
-    )
+    head, ln_base = _ncpa_terms(n, q)
+    return head - _ctx.log(rounds + 2) + (_ctx.mpf(rounds) / 2 + 1) * ln_base
 
 
 def _ln_cca(n: int, rounds: int, q: int):

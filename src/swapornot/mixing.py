@@ -16,9 +16,12 @@ the cipher does, before enumerating coins.
 
 The arithmetic is exact.  One round is compiled once per (domain, q) into
 integer move counts out of N * 2^q equally likely (subkey, coins) outcomes.
-A distribution is integer weights over one denominator, the start's times
-(N * 2^q)^r after r rounds.  Its ``Fraction`` probabilities are a view built
-on demand; the exact TVD is read from the weights and compared exactly.
+The round commutes with translating every card (x -> x + c, or x ^ c under
+XOR), so only one state per orbit of N translates is compiled, and a step
+moves each orbit as one packed integer.  A distribution is integer weights
+over one denominator, the start's times (N * 2^q)^r after r rounds.  Its
+``Fraction`` probabilities are a view built on demand; the exact TVD is read
+from the weights and compared exactly.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import functools
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
 from . import bounds
@@ -38,10 +43,10 @@ from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
 
 # Tractability guards: exact support size, round count, and the
-# support * N * 2^q (state, subkey, coins) outcomes one compiled round
-# enumerates.  A compiled round keeps half to two thirds of them as moves,
-# at about 15 bytes each: 82k moves (1.3 MB) for N=12, q=3, and 7.3M (about
-# 100 MB) for N=16, q=4.
+# M * N * 2^q (representative, subkey, coins) outcomes one compiled round
+# enumerates, for the M = perm(N-1, q-1) states whose first card is 0.  A
+# compiled round holds 6.8k moves (0.3 MB) for N=12, q=3, and 455k moves
+# and the 43,680 state tuples (about 26 MB) for N=16, q=4.
 MAX_SUPPORT = 10**6
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_SIZE = 1 << 20
@@ -115,13 +120,11 @@ class ProjectedDistribution:
 class _Transition(NamedTuple):
     """One round of the projected chain, compiled for one (domain, q)."""
 
-    states: tuple[tuple[int, ...], ...]  # the support, in permutations order
-    index: Mapping[tuple[int, ...], int]  # state -> its position in ``states``
-    # moves[i]: (count, destination indices) pairs.  Each destination of
-    # state i is reached by ``count`` of the ``outcomes`` equally likely
-    # (subkey, coins) draws; grouping destinations by count saves a multiply
-    # per move, since a source has only a few distinct counts.
-    moves: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    states: tuple[tuple[int, ...], ...]  # the support; a*N + x is representative a + x
+    # moves[a]: (count, c, destination representatives) groups.  For every x,
+    # a + x moves to b + (x + c), or b ^ (x ^ c) under XOR, in ``count`` of the
+    # ``outcomes`` equally likely (subkey, coins) draws.
+    moves: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
     outcomes: int
 
 
@@ -133,21 +136,31 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     larger member; tracked partners share a coin, and a fixed point
     (x == partner) cannot move.  With g coins, each of the 2^g masks stands
     for 2^(q-g) of the 2^q coin outcomes, so every count is out of N * 2^q.
+
+    Translating all cards by c commutes with the round: partner(k + 2c, x + c)
+    = partner(k, x) + c, and k -> k + 2c only relabels the uniform subkey (under
+    XOR, partner(k, x ^ c) = partner(k, x) ^ c); pairs translate, each with one
+    fair coin.  The chain lumps by these orbits (Levin-Peres-Wilmer, *Markov
+    Chains and Mixing Times*): only the perm(N-1, q-1) states with first card 0
+    are enumerated.
     """
     n = domain.size
     all_coins = 1 << tracked
-    enumerated = math.perm(n, tracked) * n * all_coins
+    reps = [(0, *rest) for rest in itertools.permutations(range(1, n), tracked - 1)]
+    enumerated = len(reps) * n * all_coins
     if enumerated > MAX_ROUND_OUTCOMES:
         raise ParameterError(
             f"one round of N={n} with {tracked} tracked cards has {enumerated} "
-            f"(state, subkey, coins) outcomes, over guard {MAX_ROUND_OUTCOMES}"
+            f"(representative, subkey, coins) outcomes, over guard {MAX_ROUND_OUTCOMES}"
         )
     # The caller's distribution validated the domain; inline the group law.
     xor = domain.law is GroupLaw.XOR
-    states = tuple(itertools.permutations(range(n), tracked))
+    states = tuple(
+        tuple(y ^ x if xor else (y + x) % n for y in rep) for rep in reps for x in range(n)
+    )
     index = {tup: i for i, tup in enumerate(states)}
     moves = []
-    for tup in states:
+    for tup in reps:
         counts: dict[int, int] = {}
         for k in range(n):
             partners = [k ^ x if xor else (k + n - x) % n for x in tup]
@@ -165,37 +178,64 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
                             new[i] = partners[i]
                 dest = index[tuple(new)]
                 counts[dest] = counts.get(dest, 0) + weight
-        by_count: dict[int, list[int]] = {}
-        for dest, count in counts.items():
-            by_count.setdefault(count, []).append(dest)
-        moves.append(tuple((count, tuple(dests)) for count, dests in by_count.items()))
-    return _Transition(states, MappingProxyType(index), tuple(moves), n * all_coins)
+        by_translation: dict[tuple[int, int], list[int]] = {}
+        for dest, count in counts.items():  # dest = b*N + c, the state b + c
+            by_translation.setdefault((count, dest % n), []).append(dest // n)
+        moves.append(tuple((count, c, tuple(bs)) for (count, c), bs in by_translation.items()))
+    return _Transition(states, tuple(moves), n * all_coins)
 
 
 def step(dist: ProjectedDistribution) -> ProjectedDistribution:
-    """Exact one-round transition of the projected shuffle."""
+    """Exact one-round transition of the projected shuffle.
+
+    Each orbit's N weights are packed in one int, a + x in byte-aligned slot x,
+    each slot wide enough for the new denominator so no sum carries.  A move
+    translates the whole orbit: by a shift of c slots into a 2N-slot sum folded
+    once per round, or under XOR by one block swap per bit of c.
+    """
     t = _transition(dist.domain, dist.tracked)
-    out = [0] * len(t.states)
-    for tup, weight in dist.weights.items():
-        for count, dests in t.moves[t.index[tup]]:
-            share = weight * count
-            for dest in dests:
-                out[dest] += share
-    weights = {tup: w for tup, w in zip(t.states, out) if w}
+    n, xor = dist.domain.size, dist.domain.law is GroupLaw.XOR
+    denominator = dist.denominator * t.outcomes
+    size = (denominator.bit_length() + 7) // 8  # bytes per slot
+    bits, orbit = 8 * size, n * size
+    slots = map(dist.weights.get, t.states, repeat(0))
+    packed = b"".join(map(int.to_bytes, slots, repeat(size), repeat("little")))
+    one, full = (1 << bits) - 1, (1 << n * bits) - 1
+    blocks = [1 << i for i in range(n.bit_length() - 1)] if xor else []
+    swaps = [(j * bits, sum(one << x * bits for x in range(n) if not x & j)) for j in blocks]
+    out = [0] * len(t.moves)
+    for a, moves in enumerate(t.moves):
+        weights = int.from_bytes(packed[a * orbit : (a + 1) * orbit], "little")
+        if not weights:
+            continue
+        moved = [weights] if xor else [weights << c * bits for c in range(n)]
+        for shift, low in swaps:  # moved[c + j] is moved[c] with j-slot blocks swapped
+            moved += [(w & low) << shift | (w >> shift) & low for w in moved]
+        for count, c, dests in moves:
+            share = count * moved[c]
+            for b in dests:
+                out[b] += share
+    if not xor:
+        out = [(w & full) + (w >> n * bits) for w in out]
+    packed = b"".join(map(int.to_bytes, out, repeat(orbit), repeat("little")))
+    chunks = map(itemgetter(0), struct.iter_unpack(f"{size}s", packed))
+    slots = map(int.from_bytes, chunks, repeat("little"))
+    weights = dict(filter(itemgetter(1), zip(t.states, slots)))
     new = object.__new__(ProjectedDistribution)
-    return new._set(dist.domain, dist.tracked, weights, dist.denominator * t.outcomes)
+    return new._set(dist.domain, dist.tracked, weights, denominator)
 
 
 def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     """Exact total variation distance (half the L1 distance) to sampling without replacement.
 
-    With weights w over denominator D and support size S, each state is
-    |w/D - 1/S| away from uniform, so the distance is
-    sum(|w*S - D|) / (2*D*S), where every unreached state contributes D.
+    With weights w over denominator D and support size S, the distance is
+    sum(|w*S - D|) / (2*D*S), unreached states counting w = 0.  The weights sum
+    to D, so that sum is 2*(S*A - a*D) for the a weights above D // S, summing to A.
     """
     s, d = dist.support_size(), dist.denominator
-    gap = sum(abs(w * s - d) for w in dist.weights.values()) + (s - len(dist.weights)) * d
-    return Fraction(gap, 2 * d * s)
+    floor = d // s
+    above = [w for w in dist.weights.values() if w > floor]
+    return Fraction(s * sum(above) - len(above) * d, d * s)
 
 
 def exact_tvd_after(

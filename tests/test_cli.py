@@ -8,6 +8,7 @@ from swapornot.cli import cli_main
 
 KEY = "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
 VECTOR_FILE = Path(__file__).parent / "data" / "golden_vectors.txt"
+MIXLAB_RECORD = Path(__file__).parents[1] / "bench" / "data" / "mixlab_n12_q3_r12.csv"
 
 
 def run(capsys, *argv):
@@ -170,6 +171,14 @@ def test_mixlab_diagnostics_go_to_stderr(capsys):
     code, _, err = run(capsys, "mixlab", "--max-n", "2")
     assert code == 0
     assert err.startswith("mixlab: 0 rows, 0 violations, ") and "tightest" not in err
+
+
+def test_mixlab_sweep_matches_the_recorded_rows(capsys):
+    # The benchmark's sweep, 432 rows, byte for byte as recorded.
+    code, out, _ = run(capsys, "mixlab", "--max-n", "12", "--max-q", "3", "--max-r", "12",
+                       "--csv")
+    assert code == 0
+    assert out.encode() == MIXLAB_RECORD.read_bytes()
 
 
 def test_mixlab_rounds_capped_where_the_bound_is_exact(capsys):

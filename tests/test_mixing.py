@@ -118,10 +118,11 @@ def test_support_guard():
 
 
 def test_compiled_round_guard():
-    # 999,000 states: the support guard admits them, but compiling one round
-    # would enumerate about 4e9 (state, subkey, coins) outcomes.
+    # 742,560 states: the support guard admits them, but compiling one round
+    # would enumerate 43,680 representatives * 17 subkeys * 2^5 coins, about
+    # 23.8M (representative, subkey, coins) outcomes.
     with pytest.raises(ParameterError, match="outcomes"):
-        exact_tvd_after(Domain(1000), 1, 2)
+        exact_tvd_after(Domain(17), 1, 5)
     assert exact_tvd_after(Domain(1000), 0, 2) == Fraction(998999, 999000)
 
 
@@ -201,9 +202,10 @@ def _domains_up_to(max_n):
             yield Domain(n, GroupLaw.XOR)
 
 
-@pytest.mark.parametrize("domain", list(_domains_up_to(5)), ids=repr)
+@pytest.mark.parametrize("domain", list(_domains_up_to(8)), ids=repr)
 def test_step_equals_whole_deck_oracle(domain):
-    # Exact equality, no tolerance: both sides are Fractions.
+    # Exact equality, no tolerance: both sides are Fractions.  XOR N = 8
+    # translates orbits by block swaps for all three bits.
     n = domain.size
     for q in range(1, min(3, n) + 1):
         # Two point masses and a mix of a float and Fractions, which starts
@@ -255,3 +257,8 @@ def test_probabilities_are_exact_fractions():
 def test_bound_dominates_beyond_the_sweep(law):
     # Reach: N=16, q=3 (3,360 states) for 16 rounds.
     assert exact_tvd_after(Domain(16, law), 16, 3) <= ncpa_bound(16, 16, 3)
+    # And N=16, q=4 (43,680 states), at every round of one chain up to 16.
+    dist = ProjectedDistribution.point_mass(Domain(16, law), (0, 1, 2, 3))
+    for r in range(1, 17):
+        dist = step(dist)
+        assert tvd_to_stationary(dist) <= ncpa_bound(16, r, 4)
