@@ -163,17 +163,11 @@ def _cmd_bounds(args) -> int:
     model = bounds_mod.Model(args.model)
     if args.csv:
         print("N,rounds,q,model,advantage")
-        for rounds in rounds_list:
-            for q in q_list:
-                adv = bounds_mod.evaluate(
-                    bounds_mod.BoundQuery(args.domain_size, rounds, q, model)
-                )
-                print(f"{args.domain_size},{rounds},{q},{model.value},{_fmt(adv)}")
-    else:
-        adv = bounds_mod.evaluate(
-            bounds_mod.BoundQuery(args.domain_size, rounds_list[0], q_list[0], model)
-        )
-        print(_fmt(adv))
+    for rounds in rounds_list:
+        for q in q_list:
+            query = bounds_mod.BoundQuery(args.domain_size, rounds, q, model)
+            adv = _fmt(bounds_mod.evaluate(query))
+            print(f"{args.domain_size},{rounds},{q},{model.value},{adv}" if args.csv else adv)
     return 0
 
 
@@ -188,20 +182,16 @@ def _cmd_mixlab(args) -> int:
     rows = list(mixing.validation_grid(args.max_n, args.max_q, args.max_r))
     elapsed = time.perf_counter() - start
     failures = sum(not row.ok for row in rows)
-    if args.csv:
-        print("law,N,q,r,tvd,bound,pass")
-        for row in rows:
-            print(
-                f"{row.law.value},{row.domain_size},{row.tracked},{row.rounds},"
-                f"{_fmt(row.tvd)},{_fmt(row.bound)},{'pass' if row.ok else 'fail'}"
+    line = "{},{},{},{},{},{},{}" if args.csv else "{:<4} {:>3} {:>2} {:>3} {:>12} {:>12}  {}"
+    print(line.format("law", "N", "q", "r", "tvd", "bound", "pass" if args.csv else "result"))
+    for row in rows:
+        print(
+            line.format(
+                row.law.value, row.domain_size, row.tracked, row.rounds,
+                _fmt(row.tvd), _fmt(row.bound), "pass" if row.ok else "fail",
             )
-    else:
-        print(f"{'law':<4} {'N':>3} {'q':>2} {'r':>3} {'tvd':>12} {'bound':>12}  result")
-        for row in rows:
-            print(
-                f"{row.law.value:<4} {row.domain_size:>3} {row.tracked:>2} {row.rounds:>3} "
-                f"{_fmt(row.tvd):>12} {_fmt(row.bound):>12}  {'pass' if row.ok else 'fail'}"
-            )
+        )
+    if not args.csv:
         print(f"{len(rows)} rows, {failures} violations")
     tightest = ""
     if rows:
@@ -233,16 +223,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.run(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (DomainError, ParameterError) as exc:
         print(f"swapornot {args.command}: {exc}", file=sys.stderr)
         return 2

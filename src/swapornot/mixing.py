@@ -38,29 +38,36 @@ from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
 from . import bounds
-from .cipher import CallableSource, RoundMaterial, encipher
+from .cipher import CallableSource, RoundMaterial
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
 
-# Tractability guards: exact support size, round count, and the
-# M * N * 2^q (representative, subkey, coins) outcomes one compiled round
-# enumerates, for the M = perm(N-1, q-1) states whose first card is 0.  A
-# compiled round holds 6.8k moves (0.3 MB) for N=12, q=3, and 455k moves
-# and the 43,680 state tuples (about 26 MB) for N=16, q=4.
-MAX_SUPPORT = 10**6
+# Work guards, each on the product that sizes what it guards.  An exact round
+# of q cards on N positions costs S * N * 2^q, S = perm(N, q): the support, the
+# compile's S * 2^q (state, subkey, coins) outcomes and the step's N translates
+# of N slots per orbit.  Worst admitted at r = 64 on a 2-core host: N=17, q=4
+# and N=38, q=3 in ~41 s under 100 MB; N=161, q=2 in ~43 s; N=2896, q=1 in
+# ~78 s at 1.3 GB, as slots widen with r.  A shuffle keeps N coins per round.
+MAX_ROUND_WORK = 1 << 24
 MAX_EXACT_ROUNDS = 64
-MAX_SHUFFLE_SIZE = 1 << 20
-MAX_ROUND_OUTCOMES = 1 << 24
+MAX_SHUFFLE_WORK = 1 << 20
 # Compiled rounds kept; the full mixlab sweep (N <= 12, q <= 3) uses 36.
 TRANSITION_CACHE_SIZE = 64
 
 
-def _check_support(domain: Domain, tracked: int) -> None:
+def _check_tracked(domain: Domain, tracked: int) -> None:
     if not 1 <= tracked <= domain.size:
         raise ParameterError(f"tracked cards must be in [1, {domain.size}], got {tracked}")
-    size = math.perm(domain.size, tracked)
-    if size > MAX_SUPPORT:
-        raise ParameterError(f"support size {size} exceeds guard {MAX_SUPPORT}")
+
+
+def _check_round_work(domain: Domain, tracked: int) -> None:
+    _check_tracked(domain, tracked)
+    work = math.perm(domain.size, tracked) * domain.size << tracked
+    if work > MAX_ROUND_WORK:
+        raise ParameterError(
+            f"one exact round of N={domain.size}, q={tracked} costs perm(N, q) * N * 2^q "
+            f"= {work} outcomes, over guard {MAX_ROUND_WORK}"
+        )
 
 
 @dataclass(frozen=True, init=False)
@@ -78,7 +85,7 @@ class ProjectedDistribution:
     denominator: int
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
-        _check_support(domain, tracked)
+        _check_tracked(domain, tracked)
         exact = {tup: Fraction(p) for tup, p in probs.items()}
         for tup, p in exact.items():
             if len(tup) != tracked or len(set(tup)) != tracked:
@@ -112,7 +119,7 @@ class ProjectedDistribution:
     @classmethod
     def stationary(cls, domain: Domain, tracked: int) -> "ProjectedDistribution":
         """Uniform over ordered distinct tuples: q draws without replacement."""
-        _check_support(domain, tracked)
+        _check_round_work(domain, tracked)
         weights = dict.fromkeys(itertools.permutations(range(domain.size), tracked), 1)
         return object.__new__(cls)._set(domain, tracked, weights, len(weights))
 
@@ -144,15 +151,10 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     Chains and Mixing Times*): only the perm(N-1, q-1) states with first card 0
     are enumerated.
     """
+    _check_round_work(domain, tracked)
     n = domain.size
     all_coins = 1 << tracked
     reps = [(0, *rest) for rest in itertools.permutations(range(1, n), tracked - 1)]
-    enumerated = len(reps) * n * all_coins
-    if enumerated > MAX_ROUND_OUTCOMES:
-        raise ParameterError(
-            f"one round of N={n} with {tracked} tracked cards has {enumerated} "
-            f"(representative, subkey, coins) outcomes, over guard {MAX_ROUND_OUTCOMES}"
-        )
     # The caller's distribution validated the domain; inline the group law.
     xor = domain.law is GroupLaw.XOR
     states = tuple(
@@ -289,11 +291,7 @@ def validation_grid(
     if not 0 <= max_rounds <= MAX_EXACT_ROUNDS:
         raise ParameterError(f"rounds must be in [0, {MAX_EXACT_ROUNDS}], got {max_rounds}")
     domains = [Domain(n, GroupLaw.MOD_ADD) for n in range(3, max_size + 1)]
-    domains += [
-        Domain(n, GroupLaw.XOR)
-        for n in range(4, max_size + 1)
-        if n & (n - 1) == 0
-    ]
+    domains += [Domain(n, GroupLaw.XOR) for n in range(4, max_size + 1) if n & (n - 1) == 0]
     for domain in domains:
         for q in range(1, min(max_tracked, domain.size) + 1):
             dist = ProjectedDistribution.point_mass(domain, tuple(range(q)))
@@ -333,12 +331,12 @@ class ShuffleSample:
 
 
 def shuffle_sample(domain: Domain, rounds: int, seed: int) -> ShuffleSample:
-    """Sample a full r-round shuffle of the deck [N] (N capped for memory)."""
+    """Sample a full r-round shuffle of the deck [N] (N * rounds capped for memory)."""
     n = domain.size
-    if n > MAX_SHUFFLE_SIZE:
-        raise ParameterError(f"shuffle sampling capped at N <= {MAX_SHUFFLE_SIZE}")
     if rounds < 0:
         raise ParameterError(f"rounds must be >= 0, got {rounds}")
+    if n * max(rounds, 1) > MAX_SHUFFLE_WORK:
+        raise ParameterError(f"shuffle sampling capped at N * rounds <= {MAX_SHUFFLE_WORK}")
     rng = random.Random(seed)
     deck = list(range(n))  # deck[position] = card
     subkeys = []

@@ -18,6 +18,7 @@ from swapornot import (
     tvd_to_stationary,
     validation_grid,
 )
+from swapornot import mixing
 
 from helpers import reference_shuffle_step
 
@@ -126,6 +127,34 @@ def test_compiled_round_guard():
     assert exact_tvd_after(Domain(1000), 0, 2) == Fraction(998999, 999000)
 
 
+@pytest.mark.parametrize(
+    "n, tracked",
+    [(1000, 2), (20_000, 1)],  # 999,000 states; 20,000 translates of a 20,000-slot orbit
+)
+def test_round_work_guard(n, tracked):
+    # perm(N, q) * N * 2^q bounds the support, the compile and the step, each
+    # of which may be large while the others are small.
+    with pytest.raises(ParameterError, match="outcomes"):
+        exact_tvd_after(Domain(n), 1, tracked)
+    with pytest.raises(ParameterError, match="outcomes"):
+        ProjectedDistribution.stationary(Domain(n), tracked)
+
+
+def test_round_work_guard_runs_before_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated states past the guard")
+
+    monkeypatch.setattr(mixing.itertools, "permutations", refuse)
+    with pytest.raises(ParameterError):
+        exact_tvd_after(Domain(17), 1, 5)
+    with pytest.raises(ParameterError):
+        ProjectedDistribution.stationary(Domain(17), 5)
+
+
+def test_round_work_guard_admits_large_decks_at_small_q():
+    assert exact_tvd_after(Domain(100), 1, 2) == Fraction(1921, 1980)
+
+
 def test_round_guard():
     with pytest.raises(ParameterError):
         exact_tvd_after(Domain(4), 65, 1, (0,))
@@ -188,6 +217,13 @@ def test_shuffle_agrees_with_cipher(law):
 def test_shuffle_size_guard():
     with pytest.raises(ParameterError):
         shuffle_sample(Domain((1 << 20) + 2), 1, seed=0)
+
+
+def test_shuffle_work_guard():
+    # One coin per pair per round is kept, so the guard counts N * rounds.
+    with pytest.raises(ParameterError, match="rounds"):
+        shuffle_sample(Domain(1 << 16), 40, seed=0)
+    assert len(shuffle_sample(Domain(1 << 16), 0, seed=0).permutation) == 1 << 16
 
 
 def test_tvd_to_stationary_of_stationary_is_zero():
