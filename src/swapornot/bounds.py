@@ -6,7 +6,8 @@ and are evaluated in log space with 60-digit arithmetic before clamping to
 credit-card-sized recipe lands within 10% of its target, so double-precision
 shortcuts are not acceptable here.  The arithmetic runs in a private mpmath
 context fixed at ``PRECISION_DPS`` digits, never in mpmath's process-global
-``mp``, so other mpmath users and other threads cannot change a result.
+``mp``, so other mpmath users and other threads cannot change a result.  The
+context, and mpmath with it, is loaded on the first evaluation, not on import.
 
 Models:
 
@@ -44,15 +45,20 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from mpmath import MPContext
-
 from .cipher import MAX_ROUNDS as ROUND_CAP
 from .errors import ParameterError, RoundCapExceeded
 
 # Significant decimal digits for internal evaluation.
 PRECISION_DPS = 60
-_ctx = MPContext()
-_ctx.dps = PRECISION_DPS
+
+
+@functools.cache
+def _context():
+    from mpmath import MPContext
+
+    ctx = MPContext()
+    ctx.dps = PRECISION_DPS
+    return ctx
 
 
 class Model(Enum):
@@ -79,45 +85,39 @@ class BoundQuery:
         return evaluate(self)
 
 
-def _ln_base(n: int, q: int):
+def _ln_base(ctx, n: int, q: int):
     # ln((q + N) / 2N); <= 0 whenever q <= N.
-    return _ctx.log(q + n) - _ctx.log(2 * n)
+    return ctx.log(q + n) - ctx.log(2 * n)
 
 
 @functools.lru_cache(maxsize=256)
-def _ncpa_terms(n: int, q: int):
+def _ncpa_terms(ctx, n: int, q: int):
     # The round-independent terms of _ln_ncpa: ln(2 N^{3/2}) and ln((q + N) / 2N).
-    return _ctx.log(2) + _ctx.mpf(3) / 2 * _ctx.log(n), _ln_base(n, q)
+    return ctx.log(2) + ctx.mpf(3) / 2 * ctx.log(n), _ln_base(ctx, n, q)
 
 
-def _ln_ncpa(n: int, rounds: int, q: int):
-    head, ln_base = _ncpa_terms(n, q)
-    return head - _ctx.log(rounds + 2) + (_ctx.mpf(rounds) / 2 + 1) * ln_base
+def _ln_ncpa(ctx, n: int, rounds: int, q: int):
+    head, ln_base = _ncpa_terms(ctx, n, q)
+    return head - ctx.log(rounds + 2) + (ctx.mpf(rounds) / 2 + 1) * ln_base
 
 
-def _ln_cca(n: int, rounds: int, q: int):
-    return _ctx.log(2) + _ln_ncpa(n, rounds // 2, q)
+def _ln_cca(ctx, n: int, rounds: int, q: int):
+    return ctx.log(2) + _ln_ncpa(ctx, n, rounds // 2, q)
 
 
-def _ln_cca_tweak(n: int, rounds: int, q: int):
-    return _ctx.log(4) + _ln_ncpa(n, rounds // 2, q) / 2
+def _ln_cca_tweak(ctx, n: int, rounds: int, q: int):
+    return ctx.log(4) + _ln_ncpa(ctx, n, rounds // 2, q) / 2
 
 
-def _ln_thorp(n: int, passes: int, q: int):
+def _ln_thorp(ctx, n: int, passes: int, q: int):
     lg_n = n.bit_length() - 1
     if q == 0:
-        return _ctx.ninf
-    return _ctx.log(_ctx.mpf(2 * q) / passes + 1) + passes * (_ctx.log(4 * lg_n * q) - _ctx.log(n))
-
-
-def _clamped(ln_value) -> float:
-    if ln_value >= 0:
-        return 1.0
-    return float(_ctx.e**ln_value)
+        return ctx.ninf
+    return ctx.log(ctx.mpf(2 * q) / passes + 1) + passes * (ctx.log(4 * lg_n * q) - ctx.log(n))
 
 
 class _ModelRow(NamedTuple):
-    ln: Callable  # ln of the unclamped bound at (N, rounds, q)
+    ln: Callable  # ln of the unclamped bound at (context, N, rounds, q)
     step: int  # round counts are positive multiples of this
     min_q: int  # smallest query budget the bound is stated for
     pow2: bool  # N must be a power of two
@@ -161,7 +161,9 @@ def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
 
 
 def _bound(model: Model, n: int, rounds: int, q: int) -> float:
-    return _clamped(_checked(model, n, q, rounds).ln(n, rounds, q))
+    row, ctx = _checked(model, n, q, rounds), _context()
+    ln_value = row.ln(ctx, n, rounds, q)
+    return 1.0 if ln_value >= 0 else float(ctx.e**ln_value)
 
 
 def ncpa_bound(domain_size: int, rounds: int, queries: int) -> float:
@@ -224,11 +226,11 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
 
 @functools.lru_cache(maxsize=256)
 def _search_rounds(domain_size: int, queries: int, target: float, model: Model) -> int:
-    row = _MODELS[model]
-    ln_target = _ctx.log(target)
+    row, ctx = _MODELS[model], _context()
+    ln_target = ctx.log(target)
 
     def meets(rounds: int) -> bool:
-        return row.ln(domain_size, rounds, queries) <= ln_target
+        return row.ln(ctx, domain_size, rounds, queries) <= ln_target
 
     # The bound falls as rounds grow, so an unreachable target shows at the
     # largest allowed count: one evaluation instead of a search.

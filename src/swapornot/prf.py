@@ -28,7 +28,8 @@ the tests compare the cipher against them.  The cipher's production loop
 does not call them: it copies the key's keyed state and hashes each round's
 message inline, from ``round_prefixes`` and the tweak digest, in this same
 layout.  Subkey draws are hashed inline too, unless the key's class overrides
-``block``: an override sees tweak digests and every subkey draw, not round bits.
+``block``: the override sees tweak digests and, since ``sample_uniform`` reads
+draws in chunks never past the last accepted one, exactly the draws consumed.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ BLOCK_BYTES = 16
 _MAX_INDEX = 0xFFFFFFFF
 MAX_TWEAK_BYTES = 0xFFFFFFFF
 _DRAW_TABLE_SIZE = 1 << 12
+_WORD, _WIDE = struct.Struct(">Q8x"), struct.Struct(">QQ")  # 8- and 16-byte subkey candidates
 
 
 @dataclass(frozen=True)
@@ -148,29 +150,27 @@ def round_bit(key: PrfKey, round_index: int, td: TweakDigest, x_hat: int) -> int
 def sample_uniform(blocks: Iterable[bytes], size: int, count: int) -> tuple[int, ...]:
     """Draw ``count`` independent uniform elements of [0, size) from a block stream.
 
-    ``blocks`` yields the 16-byte blocks of draw counters 1, 2, ... in order, and
-    a stream that ends first raises ``ParameterError``.  Candidates are the first
-    8 bytes of a block (big-endian) when size <= 2**63, the full block otherwise;
-    candidates at or above size * floor(2**w / size) are rejected, which removes
-    modulo bias exactly.  Fewer than 2 draws per element are needed on average.
-    ``derive_subkeys`` hashes its blocks from the key's keyed state, or calls
-    ``block`` for each when the key's class overrides it.
+    ``blocks`` yields the exactly 16-byte blocks of draw counters 1, 2, ... in
+    order.  It is read in chunks of the elements still needed, never past the last
+    accepted block, and a stream that ends first raises ``ParameterError``.  One
+    ``struct`` call decodes a chunk's candidates: a block's first 8 bytes
+    (big-endian) when size <= 2**63, all 16 otherwise.  Candidates at or above
+    size * floor(2**w / size) are rejected, which removes modulo bias exactly with
+    fewer than 2 draws per element on average.
     """
     if size < 2:
         raise DomainError(f"size must be >= 2, got {size}")
-    width_bytes = 8 if size <= 1 << 63 else 16
-    threshold = ((1 << (8 * width_bytes)) // size) * size
-    out: list[int] = []
-    if count > 0:
-        from_bytes = int.from_bytes
-        for block in blocks:
-            candidate = from_bytes(block[:width_bytes], "big")
-            if candidate < threshold:
-                out.append(candidate % size)
-                if len(out) == count:
-                    break
-        else:
+    wide = size > 1 << 63
+    limit = ((1 << (128 if wide else 64)) // size) * size
+    blocks, out = iter(blocks), []
+    while len(out) < count:
+        chunk = b"".join(itertools.islice(blocks, count - len(out)))
+        if not chunk:
             raise ParameterError("subkey derivation exhausted the 32-bit draw counter")
+        if wide:
+            out += [c % size for hi, lo in _WIDE.iter_unpack(chunk) if (c := hi << 64 | lo) < limit]
+        else:
+            out += [c % size for (c,) in _WORD.iter_unpack(chunk) if c < limit]
     return tuple(out)
 
 

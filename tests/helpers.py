@@ -9,7 +9,9 @@ one coin per pair, and follows the tracked cards through every outcome,
 instead of compiling a transition on the tracked positions alone.  The
 subkey oracle builds a fresh keyed BLAKE2b hasher for every draw and
 rejects by the remainder 2^w mod N, instead of streaming copies of one
-keyed state against a precomputed threshold.
+keyed state against a precomputed threshold; the sampler oracle applies
+the same rule to a given block stream one block at a time, instead of
+decoding chunks of blocks at once.
 """
 
 import hashlib
@@ -100,6 +102,27 @@ def reference_subkeys(key_bytes: bytes, person: bytes, n: int, count: int):
         if candidate < limit:
             out.append(candidate % n)
     return tuple(out), counter
+
+
+def reference_sample_uniform(blocks, size: int, count: int):
+    """The ``count`` draws ``prf.sample_uniform`` keeps, one block at a time.
+
+    ``blocks`` is an iterator.  A candidate is the block's first 8 bytes when
+    size <= 2^63, else all 16, and is kept, reduced mod size, when it lies below
+    2^w - (2^w mod size).  Reading stops at the last kept candidate; None means
+    the stream ended first.
+    """
+    width = 8 if size <= 1 << 63 else 16
+    limit = (1 << (8 * width)) - (1 << (8 * width)) % size
+    out = []
+    while len(out) < count:
+        block = next(blocks, None)
+        if block is None:
+            return None
+        candidate = int.from_bytes(block[:width], "big")
+        if candidate < limit:
+            out.append(candidate % size)
+    return tuple(out)
 
 
 def reference_encipher(n: int, law: str, subkeys, bit_fn, x: int) -> int:

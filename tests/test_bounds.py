@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -330,3 +333,21 @@ def test_bounds_ignore_global_mpmath_precision(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert mpmath.mp.prec == prec
+
+
+def test_mpmath_loads_at_the_first_evaluation_not_on_import():
+    # A fresh interpreter: importing the package and its CLI leaves mpmath
+    # unloaded, and the first bound evaluation loads it and returns the value
+    # the package gave when mpmath loaded on import.
+    script = (
+        "import sys, swapornot, swapornot.cli\n"
+        "print('mpmath' in sys.modules)\n"
+        "value = swapornot.bounds.cca_bound(2**30, 340, 10**8)\n"
+        "print(repr(value), 'mpmath' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "2.2395192370016514e-11", "True"]

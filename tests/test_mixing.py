@@ -119,9 +119,10 @@ def test_support_guard():
 
 
 def test_compiled_round_guard():
-    # 742,560 states: the support guard admits them, but compiling one round
-    # would enumerate 43,680 representatives * 17 subkeys * 2^5 coins, about
-    # 23.8M (representative, subkey, coins) outcomes.
+    # 742,560 states: MAX_ROUND_WORK (2^24) refuses them, as one round costs
+    # perm(N, q) * N * 2^q = 742,560 * 17 * 2^5, about 404M outcomes.  Its
+    # compile alone would enumerate 43,680 representatives * 17 subkeys * 2^5
+    # coins, about 23.8M (representative, subkey, coins) outcomes.
     with pytest.raises(ParameterError, match="outcomes"):
         exact_tvd_after(Domain(17), 1, 5)
     assert exact_tvd_after(Domain(1000), 0, 2) == Fraction(998999, 999000)

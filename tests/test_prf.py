@@ -29,7 +29,7 @@ from swapornot.prf import (
     sample_uniform,
 )
 
-from helpers import reference_subkeys
+from helpers import reference_sample_uniform, reference_subkeys
 
 KEY = PrfKey(bytes(range(KEY_BYTES)))
 OTHER_KEY = PrfKey(bytes(range(1, KEY_BYTES + 1)))
@@ -242,6 +242,49 @@ def test_sample_uniform_stream_end_is_refused():
             sample_uniform(iter(stream), n, 2)
     assert sample_uniform(iter([accepted, rejected, accepted]), n, 2) == (0, 0)
     assert sample_uniform(iter(()), n, 0) == ()
+
+
+SAMPLER_SIZES = [2, 3, 36**12, 2**63, 2**63 + 1, 2**128]
+
+
+@st.composite
+def sampler_streams(draw):
+    """A size, a draw count and a block stream with candidates on the rejection edges."""
+    size = draw(st.sampled_from(SAMPLER_SIZES) | st.integers(2, 2**128))
+    width = 8 if size <= 2**63 else 16
+    threshold = ((1 << (8 * width)) // size) * size
+    edges = [v for v in (threshold - 1, threshold, (1 << (8 * width)) - 1) if v < 1 << (8 * width)]
+    edge_block = st.builds(
+        lambda v, tail: v.to_bytes(width, "big") + tail,
+        st.sampled_from(edges),
+        st.binary(min_size=16 - width, max_size=16 - width),
+    )
+    count = draw(st.integers(-1, 12))
+    # Up to 2 blocks short of the count, so some streams end before it is met.
+    length = max(0, count + draw(st.integers(-2, 12)))
+    block = st.binary(min_size=16, max_size=16) | edge_block
+    return size, count, draw(st.lists(block, min_size=length, max_size=length))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sampler_streams())
+def test_sample_uniform_matches_per_block_reference(case):
+    size, count, stream = case
+    fast, slow = iter(stream), iter(stream)
+    expected = reference_sample_uniform(slow, size, count)
+    if expected is None:
+        with pytest.raises(ParameterError, match="exhausted"):
+            sample_uniform(fast, size, count)
+    else:
+        assert sample_uniform(fast, size, count) == expected
+    # The same blocks consumed, and none past the last accepted one.
+    left = list(fast)
+    assert left == list(slow)
+    read = len(stream) - len(left)
+    if count <= 0:
+        assert read == 0
+    elif expected is not None:
+        assert reference_sample_uniform(iter([stream[read - 1]]), size, 1) is not None
 
 
 # Both candidate widths, the rejection edge (36^12 rejects about 23% of
