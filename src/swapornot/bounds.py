@@ -163,7 +163,7 @@ def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
 def _bound(model: Model, n: int, rounds: int, q: int) -> float:
     row, ctx = _checked(model, n, q, rounds), _context()
     ln_value = row.ln(ctx, n, rounds, q)
-    return 1.0 if ln_value >= 0 else float(ctx.e**ln_value)
+    return 1.0 if ln_value >= 0 else float(ctx.exp(ln_value))
 
 
 def ncpa_bound(domain_size: int, rounds: int, queries: int) -> float:

@@ -181,14 +181,15 @@ def _cmd_mixlab(args) -> int:
     start = time.perf_counter()
     rows = list(mixing.validation_grid(args.max_n, args.max_q, args.max_r))
     elapsed = time.perf_counter() - start
-    failures = sum(not row.ok for row in rows)
+    oks = [row.ok for row in rows]
+    failures = oks.count(False)
     line = "{},{},{},{},{},{},{}" if args.csv else "{:<4} {:>3} {:>2} {:>3} {:>12} {:>12}  {}"
     print(line.format("law", "N", "q", "r", "tvd", "bound", "pass" if args.csv else "result"))
-    for row in rows:
+    for row, ok in zip(rows, oks):
         print(
             line.format(
                 row.law.value, row.domain_size, row.tracked, row.rounds,
-                _fmt(row.tvd), _fmt(row.bound), "pass" if row.ok else "fail",
+                _fmt(row.tvd), _fmt(row.bound), "pass" if ok else "fail",
             )
         )
     if not args.csv:

@@ -19,9 +19,9 @@ integer move counts out of N * 2^q equally likely (subkey, coins) outcomes.
 The round commutes with translating every card (x -> x + c, or x ^ c under
 XOR), so only one state per orbit of N translates is compiled, and a step
 moves each orbit as one packed integer.  A distribution is integer weights
-over one denominator, the start's times (N * 2^q)^r after r rounds.  Its
-``Fraction`` probabilities are a view built on demand; the exact TVD is read
-from the weights and compared exactly.
+over one denominator, the start's times (N * 2^q)^r after r rounds, held after
+a step as orbit-packed slots, widened in place as the denominator outgrows them.
+``weights`` and ``probs`` are views built on first use; the TVD reads the slots.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
 
 # Work guards, each on the product that sizes what it guards.  An exact round
-# of q cards on N positions costs S * N * 2^q, S = perm(N, q): the support, the
-# compile's S * 2^q (state, subkey, coins) outcomes and the step's N translates
-# of N slots per orbit.  Worst admitted at r = 64 on a 2-core host: N=17, q=4
-# and N=38, q=3 in ~41 s under 100 MB; N=161, q=2 in ~43 s; N=2896, q=1 in
-# ~78 s at 1.3 GB, as slots widen with r.  A shuffle keeps N coins per round.
+# of q cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the
+# support, the compile's coin masks (at most N // 2 pairs) and the step's N
+# translates of N slots per orbit.  Worst admitted at r = 64 on a 2-core host:
+# N=17, q=4, N=38, q=3, N=161, q=2 and N=9, q=6 in 14-18 s under 110 MB; N=2896,
+# q=1 in ~46 s at 1.3 GB, as slots widen with r.  A shuffle keeps N coins per round.
 MAX_ROUND_WORK = 1 << 24
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_WORK = 1 << 20
@@ -62,12 +62,22 @@ def _check_tracked(domain: Domain, tracked: int) -> None:
 
 def _check_round_work(domain: Domain, tracked: int) -> None:
     _check_tracked(domain, tracked)
-    work = math.perm(domain.size, tracked) * domain.size << tracked
+    work = math.perm(domain.size, tracked) * domain.size << min(tracked, domain.size // 2)
     if work > MAX_ROUND_WORK:
         raise ParameterError(
-            f"one exact round of N={domain.size}, q={tracked} costs perm(N, q) * N * 2^q "
-            f"= {work} outcomes, over guard {MAX_ROUND_WORK}"
+            f"one exact round of N={domain.size}, q={tracked} costs perm(N, q) * N * "
+            f"2^min(q, N // 2) = {work} outcomes, over guard {MAX_ROUND_WORK}"
         )
+
+
+def _slots(packed: bytes, size: int) -> Iterator[int]:
+    chunks = map(itemgetter(0), struct.iter_unpack(f"{size}s", packed))
+    return map(int.from_bytes, chunks, repeat("little"))
+
+
+def _stepped_weights(dist: "ProjectedDistribution") -> dict[tuple[int, ...], int]:
+    states = _transition(dist.domain, dist.tracked).states
+    return dict(filter(itemgetter(1), zip(states, _slots(*dist._packed))))
 
 
 @dataclass(frozen=True, init=False)
@@ -76,13 +86,17 @@ class ProjectedDistribution:
 
     Integer ``weights`` (state -> numerator) over one ``denominator``.  The
     constructor takes probabilities >= 0 summing to exactly 1, converted with
-    ``Fraction(p)``; ``probs`` is their lowest-terms view, built on first use.
+    ``Fraction(p)``, and keeps their dict; ``step`` holds its result as packed
+    slots.  ``weights`` (after a step, reached states only) and ``probs`` (lowest
+    terms) are then views built on first use.
     """
 
     domain: Domain
     tracked: int
-    weights: dict[tuple[int, ...], int]
+    # A field whose default is a descriptor: set by the constructor, or built on first use.
+    weights: dict[tuple[int, ...], int] = functools.cached_property(_stepped_weights)
     denominator: int
+    _packed = None  # (slots, bytes per slot) of a stepped distribution
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
         _check_tracked(domain, tracked)
@@ -96,13 +110,12 @@ class ProjectedDistribution:
                 raise DomainError(f"probability of {tup} is negative: {p}")
         denominator = math.lcm(*(p.denominator for p in exact.values()))
         weights = {tup: p.numerator * (denominator // p.denominator) for tup, p in exact.items()}
-        self._set(domain, tracked, weights, denominator)
+        self._set(domain, tracked, denominator, sum(weights.values()), weights=weights)
 
-    def _set(self, domain, tracked, weights, denominator) -> "ProjectedDistribution":
-        total = sum(weights.values())
+    def _set(self, domain, tracked, denominator, total, **held) -> "ProjectedDistribution":
         if total != denominator:
             raise DomainError(f"probabilities sum to {Fraction(total, denominator)}, not 1")
-        vars(self).update(domain=domain, tracked=tracked, weights=weights, denominator=denominator)
+        vars(self).update(domain=domain, tracked=tracked, denominator=denominator, **held)
         return self
 
     @functools.cached_property
@@ -121,7 +134,7 @@ class ProjectedDistribution:
         """Uniform over ordered distinct tuples: q draws without replacement."""
         _check_round_work(domain, tracked)
         weights = dict.fromkeys(itertools.permutations(range(domain.size), tracked), 1)
-        return object.__new__(cls)._set(domain, tracked, weights, len(weights))
+        return cls.__new__(cls)._set(domain, tracked, len(weights), len(weights), weights=weights)
 
 
 class _Transition(NamedTuple):
@@ -190,18 +203,25 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
 def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     """Exact one-round transition of the projected shuffle.
 
-    Each orbit's N weights are packed in one int, a + x in byte-aligned slot x,
-    each slot wide enough for the new denominator so no sum carries.  A move
-    translates the whole orbit: by a shift of c slots into a 2N-slot sum folded
-    once per round, or under XOR by one block swap per bit of c.
+    The result is held as little-endian slots in ``_transition`` states order,
+    each wide enough for the new denominator so no sum carries; a stepped input's
+    slots are widened in place.  Orbit a's N slots are one int, a + x in slot x.
+    A move translates the whole orbit: by a shift of c slots into a 2N-slot sum
+    folded once per round, or under XOR by one block swap per bit of c.
     """
     t = _transition(dist.domain, dist.tracked)
     n, xor = dist.domain.size, dist.domain.law is GroupLaw.XOR
     denominator = dist.denominator * t.outcomes
     size = (denominator.bit_length() + 7) // 8  # bytes per slot
     bits, orbit = 8 * size, n * size
-    slots = map(dist.weights.get, t.states, repeat(0))
-    packed = b"".join(map(int.to_bytes, slots, repeat(size), repeat("little")))
+    if dist._packed is None:
+        slots = map(dist.weights.get, t.states, repeat(0))
+        packed = b"".join(map(int.to_bytes, slots, repeat(size), repeat("little")))
+    else:
+        packed, old = dist._packed
+        if old < size:
+            pad = bytes(size - old)
+            packed = pad.join(map(itemgetter(0), struct.iter_unpack(f"{old}s", packed))) + pad
     one, full = (1 << bits) - 1, (1 << n * bits) - 1
     blocks = [1 << i for i in range(n.bit_length() - 1)] if xor else []
     swaps = [(j * bits, sum(one << x * bits for x in range(n) if not x & j)) for j in blocks]
@@ -219,12 +239,11 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
                 out[b] += share
     if not xor:
         out = [(w & full) + (w >> n * bits) for w in out]
+    # Every slot of sum(out) is <= denominator < 2^bits: times the repunit, its top slot sums them.
+    total = (sum(out) * (full // one)) >> (n - 1) * bits & one
     packed = b"".join(map(int.to_bytes, out, repeat(orbit), repeat("little")))
-    chunks = map(itemgetter(0), struct.iter_unpack(f"{size}s", packed))
-    slots = map(int.from_bytes, chunks, repeat("little"))
-    weights = dict(filter(itemgetter(1), zip(t.states, slots)))
     new = object.__new__(ProjectedDistribution)
-    return new._set(dist.domain, dist.tracked, weights, denominator)
+    return new._set(dist.domain, dist.tracked, denominator, total, _packed=(packed, size))
 
 
 def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
@@ -236,7 +255,8 @@ def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     """
     s, d = dist.support_size(), dist.denominator
     floor = d // s
-    above = [w for w in dist.weights.values() if w > floor]
+    values = dist.weights.values() if dist._packed is None else _slots(*dist._packed)
+    above = [w for w in values if w > floor]
     return Fraction(s * sum(above) - len(above) * d, d * s)
 
 

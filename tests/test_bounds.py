@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -277,6 +278,37 @@ def test_bound_query_dispatch():
     assert BoundQuery(2**64, 8, 2**20, Model.THORP).advantage() == thorp_bound(
         2**64, 8, 2**20
     )
+
+
+def _exp_grid():
+    rng = random.Random(2012)
+    sizes = [*range(2, 300, 4), 10**9, 36**12, 2**64, 2**128]
+    for n in sizes:
+        for q in sorted({1, 2, 3, n // 2, n} - {0}):
+            for r in range(1, 65):
+                yield n, r, min(q, n)
+    for _ in range(2000):
+        n = rng.randrange(2, 2 ** rng.randrange(2, 129))
+        yield n, rng.randrange(1, 65), rng.randrange(1, n + 1)
+
+
+def test_bounds_exponentiate_as_the_power_of_e():
+    # ctx.exp replaced ctx.e ** ln in _bound; the old expression is the
+    # oracle, and every float must come out the same, not merely close.
+    ctx = bounds._context()
+
+    def power_of_e(model, n, r, q):
+        ln_value = bounds._MODELS[model].ln(ctx, n, r, q)
+        return 1.0 if ln_value >= 0 else float(ctx.e**ln_value)
+
+    points = 0
+    for n, r, q in _exp_grid():
+        assert ncpa_bound(n, r, q) == power_of_e(Model.NCPA, n, r, q)
+        even = r + r % 2
+        assert cca_bound(n, even, q) == power_of_e(Model.CCA, n, even, q)
+        assert cca_tweak_bound(n, even, q) == power_of_e(Model.CCA_TWEAK, n, even, q)
+        points += 1
+    assert points > 20_000
 
 
 def test_bounds_ignore_global_mpmath_precision(monkeypatch):

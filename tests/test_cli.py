@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from swapornot import GroupLaw, mixing
 from swapornot.cli import cli_main
 
 KEY = "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
@@ -171,6 +173,35 @@ def test_mixlab_diagnostics_go_to_stderr(capsys):
     code, _, err = run(capsys, "mixlab", "--max-n", "2")
     assert code == 0
     assert err.startswith("mixlab: 0 rows, 0 violations, ") and "tightest" not in err
+
+
+def test_mixlab_reports_a_violation_once_per_row(capsys, monkeypatch):
+    # A row whose exact tvd exceeds its bound fails, sets the exit code to 1,
+    # and its exact comparison is made once per row.
+    rows = [
+        mixing.ValidationRow(GroupLaw.MOD_ADD, 4, 1, 1, Fraction(1, 4), 0.5),
+        mixing.ValidationRow(GroupLaw.XOR, 4, 2, 3, Fraction(1, 2), 0.25),
+    ]
+    monkeypatch.setattr(mixing, "validation_grid", lambda *args: iter(rows))
+    calls = []
+    ok = mixing.ValidationRow.ok
+    monkeypatch.setattr(
+        mixing.ValidationRow, "ok", property(lambda row: calls.append(row) or ok.fget(row))
+    )
+    code, out, err = run(capsys, "mixlab", "--csv")
+    assert code == 1
+    assert out.splitlines() == [
+        "law,N,q,r,tvd,bound,pass", "add,4,1,1,0.25,0.5,pass", "xor,4,2,3,0.5,0.25,fail"
+    ]
+    assert err.startswith("mixlab: 2 rows, 1 violations, tightest xor N=4 q=2 r=3 tvd/bound=2, ")
+    assert calls == rows
+    code, out, _ = run(capsys, "mixlab")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "add    4  1   1         0.25          0.5  pass",
+        "xor    4  2   3          0.5         0.25  fail",
+        "2 rows, 1 violations",
+    ]
 
 
 def test_mixlab_sweep_matches_the_recorded_rows(capsys):

@@ -263,6 +263,8 @@ def test_step_equals_whole_deck_oracle(domain):
                 expected = reference_shuffle_step(n, domain.law.value, expected)
                 assert dist.probs == expected
                 assert dist.denominator == start.denominator * (n << q) ** r
+                # The weights view of the packed slots keeps reached states only.
+                assert dist.weights == {t: p * dist.denominator for t, p in expected.items()}
 
 
 @pytest.mark.parametrize(
@@ -299,3 +301,66 @@ def test_bound_dominates_beyond_the_sweep(law):
     for r in range(1, 17):
         dist = step(dist)
         assert tvd_to_stationary(dist) <= ncpa_bound(16, r, 4)
+
+
+@pytest.mark.parametrize(
+    "domain,q,rounds,minimal",
+    [(Domain(5), 2, 3, True), (Domain(8, GroupLaw.XOR), 3, 3, True), (Domain(6), 1, 3, False)],
+    ids=repr,
+)
+def test_stepped_distribution_and_its_dict_built_twin(domain, q, rounds, minimal):
+    # A stepped distribution is held packed, its twin as the constructor's
+    # dict.  They have one tvd, and step to equal results; == compares weights
+    # and denominators, so the twin is equal only while the stepped
+    # denominator (N * 2^q)^r is the least one.
+    dist = ProjectedDistribution.point_mass(domain, tuple(range(q)))
+    for r in range(1, rounds + 1):
+        dist = step(dist)
+        twin = ProjectedDistribution(domain, q, dist.probs)
+        assert tvd_to_stationary(dist) == tvd_to_stationary(twin)
+        assert step(dist).probs == step(twin).probs
+        if minimal or r == 1:
+            assert dist == twin
+        else:
+            assert dist != twin and dist.denominator > twin.denominator
+
+
+@pytest.mark.parametrize("rounds_before", [0, 1, 2])
+def test_step_checks_the_packed_sum(monkeypatch, rounds_before):
+    # Dropping one move group loses probability; the step's sum check sees it
+    # without unpacking, whether its input is a dict or packed slots.
+    domain = Domain(6)
+    dist = ProjectedDistribution.point_mass(domain, (0, 1))
+    for _ in range(rounds_before):
+        dist = step(dist)
+    real = mixing._transition(domain, 2)
+    moves = (real.moves[0][1:],) + real.moves[1:]
+    monkeypatch.setattr(mixing, "_transition", lambda d, q: real._replace(moves=moves))
+    with pytest.raises(DomainError, match="sum to"):
+        step(dist)
+
+
+@pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
+def test_bound_dominates_at_q_near_n(law):
+    # The paper's regime: 7 of 8 cards tracked.  Up to two rounds agree with
+    # the whole-deck oracle exactly; every round up to 32 is under the bound.
+    domain = Domain(8, law)
+    dist = ProjectedDistribution.point_mass(domain, tuple(range(7)))
+    expected = dict(dist.probs)
+    for r in range(1, 33):
+        dist = step(dist)
+        if r <= 2:
+            expected = reference_shuffle_step(8, law.value, expected)
+            assert dist.probs == expected
+        assert tvd_to_stationary(dist) <= ncpa_bound(8, r, 7)
+
+
+def test_round_work_guard_counts_coins_that_exist():
+    # A (state, subkey) has at most N // 2 coin groups, so N=8 at q=7 and 8
+    # costs 40,320 * 8 * 2^4 outcomes, not 2^7 or 2^8; N=9, q=8 is refused.
+    for q in (7, 8):
+        assert ProjectedDistribution.stationary(Domain(8), q).support_size() == 40_320
+    with pytest.raises(ParameterError, match="outcomes"):
+        exact_tvd_after(Domain(9), 1, 8)
+    with pytest.raises(ParameterError, match="outcomes"):
+        ProjectedDistribution.stationary(Domain(9), 8)
