@@ -166,7 +166,7 @@ def _cmd_bounds(args) -> int:
     for rounds in rounds_list:
         for q in q_list:
             query = bounds_mod.BoundQuery(args.domain_size, rounds, q, model)
-            adv = _fmt(bounds_mod.evaluate(query))
+            adv = _fmt(query.advantage())
             print(f"{args.domain_size},{rounds},{q},{model.value},{adv}" if args.csv else adv)
     return 0
 

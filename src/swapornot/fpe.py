@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds
 from .cipher import RoundMaterial, decipher, encipher
@@ -74,13 +75,10 @@ def encode_digits(text: str, spec: FormatSpec) -> int:
     """Big-endian positional value of a digit string; leading zeros significant."""
     if len(text) != spec.length:
         raise DomainError(f"expected {spec.length} digits, got {len(text)}")
-    value = 0
-    for ch in text:
-        digit = ALPHABET.find(ch)
-        if digit < 0 or digit >= spec.radix:
-            raise DomainError(f"character {ch!r} is not a base-{spec.radix} digit")
-        value = value * spec.radix + digit
-    return value
+    rest = text.lstrip(spec.alphabet)
+    if rest:
+        raise DomainError(f"character {rest[0]!r} is not a base-{spec.radix} digit")
+    return int(text, spec.radix)
 
 
 def decode_digits(value: int, spec: FormatSpec) -> str:
@@ -148,8 +146,7 @@ def fpe_decrypt(
     return _fpe(decipher, key, spec, ciphertext, tweak, rounds, queries, target_advantage, xor_law)
 
 
-@dataclass(frozen=True)
-class GoldenVector:
+class GoldenVector(NamedTuple):
     """One frozen (key, tweak, format, rounds, plaintext) -> ciphertext record."""
 
     key_hex: str
@@ -159,12 +156,6 @@ class GoldenVector:
     rounds: int
     plaintext: str
     ciphertext: str
-
-    def line(self) -> str:
-        return (
-            f"{self.key_hex},{self.tweak_hex},{self.radix},{self.length},"
-            f"{self.rounds},{self.plaintext},{self.ciphertext}"
-        )
 
 
 # Fixed inputs for the golden corpus: two keys, a spread of tweaks, formats,
@@ -211,7 +202,7 @@ def format_golden_vectors(vectors: list[GoldenVector]) -> str:
         f"# swapornot golden vectors format={VECTOR_FORMAT_VERSION} prf={PRF_ID}",
         VECTOR_HEADER,
     ]
-    lines.extend(v.line() for v in vectors)
+    lines.extend(",".join(map(str, v)) for v in vectors)
     return "\n".join(lines) + "\n"
 
 

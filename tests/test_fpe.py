@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,24 @@ def test_codec_errors():
         decode_digits(1000, spec)
     with pytest.raises(DomainError):
         decode_digits(-1, spec)
+
+
+@pytest.mark.parametrize(
+    "radix,length,text,bad",
+    [
+        (10, 9, " 12345678", " "),
+        (10, 9, "+12345678", "+"),
+        (10, 9, "-12345678", "-"),
+        (10, 9, "1_2345678", "_"),
+        (10, 9, "12345678\n", "\n"),
+        (10, 9, "\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669", "\u0661"),
+        (16, 4, "00FF", "F"),
+    ],
+)
+def test_codec_rejects_what_int_accepts(radix, length, text, bad):
+    # int(text, radix) parses each of these; the codec takes only 0-9a-z.
+    with pytest.raises(DomainError, match=re.escape(f"character {bad!r} is not")):
+        encode_digits(text, FormatSpec(radix, length))
 
 
 def test_format_spec_validation():
@@ -194,6 +213,11 @@ def test_golden_vectors_verify_and_invert():
         tweak = bytes.fromhex(v.tweak_hex)
         assert fpe_encrypt(key, spec, v.plaintext, tweak, v.rounds) == v.ciphertext
         assert fpe_decrypt(key, spec, v.ciphertext, tweak, v.rounds) == v.plaintext
+
+
+def test_golden_vectors_survive_format_and_parse():
+    vectors = generate_golden_vectors()
+    assert parse_golden_vectors(format_golden_vectors(vectors)) == vectors
 
 
 def test_vector_file_rejects_other_prf():

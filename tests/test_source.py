@@ -1,20 +1,39 @@
-"""Source hygiene: every name a library module imports is used in that module.
+"""Source hygiene: every name a library module imports is used in that module,
+and every boundary the benchmark's layer tracer rebinds still exists.
 
 There is no linter in the toolchain, so this test stands in for the one rule
 that has bitten the sources: an import left behind after its last use.
 ``__init__.py`` is skipped because its imports are re-exports.
+
+The tracer (``bench/layertrace.py``) skips a boundary that is gone from the
+library, so its metrics would silently read 0; the boundary tests catch a
+refactor that renames one or stops calling through it.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
 
+from swapornot import FormatSpec, PrfKey, fpe
+
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "swapornot").glob("*.py")
-    if path.name != "__init__.py"
+    path for path in (ROOT / "src" / "swapornot").glob("*.py") if path.name != "__init__.py"
 )
+
+
+def load_layertrace() -> types.ModuleType:
+    # Executed from its source text, so nothing is written under bench/.
+    path = ROOT / "bench" / "layertrace.py"
+    module = types.ModuleType("layertrace")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+BOUNDARIES = [(module, attr) for module, attr, _ in load_layertrace().BOUNDARIES]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +56,22 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
 def test_every_import_is_used(path):
     assert [f"{path.stem}.{name}" for name in unused_imports(path.read_text())] == []
+
+
+@pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
+def test_trace_boundary_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"swapornot.{module}"), attr, None))
+
+
+def test_fpe_reaches_the_codec_through_its_globals(monkeypatch):
+    calls = {"encode_digits": 0, "decode_digits": 0}
+    for name in calls:
+        original = getattr(fpe, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fpe, name, counting)
+    fpe.fpe_encrypt(PrfKey(bytes(32)), FormatSpec(10, 9), "123456789", b"", 10)
+    assert calls == {"encode_digits": 1, "decode_digits": 1}
