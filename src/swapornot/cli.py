@@ -53,13 +53,13 @@ def _fmt(value: float | Fraction) -> str:
     return format(value, ".6g")
 
 
-def _parse_rounds(text: str) -> int | None:
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise _UsageError(f"--rounds must be an integer or 'auto', got {text!r}")
+# argparse names a type in its usage error: "argument --rounds: invalid int_or_auto value: 'ten'".
+def int_or_auto(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+def int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")]
 
 
 def _parse_hex(text: str, what: str) -> bytes:
@@ -69,20 +69,13 @@ def _parse_hex(text: str, what: str) -> bytes:
         raise DomainError(f"{what} is not valid hex: {exc}") from exc
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"expected integer or comma-separated integers, got {text!r}")
-
-
 def _add_crypt_parser(sub, name: str, doc: str) -> None:
     p = sub.add_parser(name, help=doc)
     p.add_argument("--key", required=True, help="64 hex chars (32-byte PRF key)")
     p.add_argument("--radix", type=int, required=True, help="digit base, 2..36")
     p.add_argument("--length", type=int, required=True, help="digit count")
     p.add_argument("--tweak", default="", help="tweak as hex bytes (default: empty)")
-    p.add_argument("--rounds", default="auto", help="round count, or 'auto' (needs --queries)")
+    p.add_argument("--rounds", type=int_or_auto, help="round count, or 'auto' (needs --queries)")
     p.add_argument(
         "--target-adv",
         type=float,
@@ -104,8 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate an advantage bound")
     p.add_argument("--N", type=int, required=True, dest="domain_size")
-    p.add_argument("--rounds", required=True, help="rounds (comma list allowed with --csv)")
-    p.add_argument("--q", required=True, help="query budget (comma list allowed with --csv)")
+    p.add_argument(
+        "--rounds", type=int_list, required=True, help="rounds (comma list allowed with --csv)"
+    )
+    p.add_argument(
+        "--q", type=int_list, required=True, help="query budget (comma list allowed with --csv)"
+    )
     p.add_argument("--model", choices=_MODEL_CHOICES, default="cca")
     p.add_argument("--csv", action="store_true", help="emit N,rounds,q,model,advantage rows")
     p.set_defaults(run=_cmd_bounds)
@@ -137,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_crypt(args) -> int:
-    rounds = _parse_rounds(args.rounds)
+    rounds = args.rounds
     if rounds is None and args.queries is None:
         raise _UsageError(
             f"swapornot {args.command}: --rounds auto needs --queries, the number of values "
@@ -156,15 +153,13 @@ def _cmd_crypt(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rounds_list = _int_list(args.rounds)
-    q_list = _int_list(args.q)
-    if not args.csv and (len(rounds_list) > 1 or len(q_list) > 1):
+    if not args.csv and (len(args.rounds) > 1 or len(args.q) > 1):
         raise _UsageError("comma lists for --rounds/--q require --csv")
     model = bounds_mod.Model(args.model)
     if args.csv:
         print("N,rounds,q,model,advantage")
-    for rounds in rounds_list:
-        for q in q_list:
+    for rounds in args.rounds:
+        for q in args.q:
             query = bounds_mod.BoundQuery(args.domain_size, rounds, q, model)
             adv = _fmt(query.advantage())
             print(f"{args.domain_size},{rounds},{q},{model.value},{adv}" if args.csv else adv)

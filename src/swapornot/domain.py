@@ -38,10 +38,6 @@ class Domain:
             raise DomainError(f"XOR law requires a power-of-two size, got {self.size}")
 
     @classmethod
-    def mod_add(cls, size: int) -> "Domain":
-        return cls(size, GroupLaw.MOD_ADD)
-
-    @classmethod
     def xor_bits(cls, bit_width: int) -> "Domain":
         """Domain of bit_width-bit strings under XOR (size 2**bit_width)."""
         if not isinstance(bit_width, int) or bit_width < 1:

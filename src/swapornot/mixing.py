@@ -46,8 +46,8 @@ from .errors import DomainError, ParameterError
 # of q cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the
 # support, the compile's coin masks (at most N // 2 pairs) and the step's N
 # translates of N slots per orbit.  Worst admitted at r = 64 on a 2-core host:
-# N=17, q=4, N=38, q=3, N=161, q=2 and N=9, q=6 in 14-18 s under 110 MB; N=2896,
-# q=1 in ~46 s at 1.3 GB, as slots widen with r.  A shuffle keeps N coins per round.
+# N=17, q=4, N=38, q=3, N=161, q=2 and N=9, q=6 in 25-35 s at most 110 MB; N=2896,
+# q=1 in 56 s at 27 MB, one translate at a time.  A shuffle keeps N coins per round.
 MAX_ROUND_WORK = 1 << 24
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_WORK = 1 << 20
@@ -141,10 +141,10 @@ class _Transition(NamedTuple):
     """One round of the projected chain, compiled for one (domain, q)."""
 
     states: tuple[tuple[int, ...], ...]  # the support; a*N + x is representative a + x
-    # moves[a]: (count, c, destination representatives) groups.  For every x,
-    # a + x moves to b + (x + c), or b ^ (x ^ c) under XOR, in ``count`` of the
-    # ``outcomes`` equally likely (subkey, coins) draws.
-    moves: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+    # moves[a]: (c, ((count, destination representatives), ...)) per translation c.
+    # For every x, a + x moves to b + (x + c), or b ^ (x ^ c) under XOR, in
+    # ``count`` of the ``outcomes`` equally likely (subkey, coins) draws.
+    moves: tuple[tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...], ...]
     outcomes: int
 
 
@@ -193,10 +193,15 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
                             new[i] = partners[i]
                 dest = index[tuple(new)]
                 counts[dest] = counts.get(dest, 0) + weight
-        by_translation: dict[tuple[int, int], list[int]] = {}
+        by_translation: dict[int, dict[int, list[int]]] = {}
         for dest, count in counts.items():  # dest = b*N + c, the state b + c
-            by_translation.setdefault((count, dest % n), []).append(dest // n)
-        moves.append(tuple((count, c, tuple(bs)) for (count, c), bs in by_translation.items()))
+            by_translation.setdefault(dest % n, {}).setdefault(count, []).append(dest // n)
+        moves.append(
+            tuple(
+                (c, tuple((count, tuple(bs)) for count, bs in groups.items()))
+                for c, groups in by_translation.items()
+            )
+        )
     return _Transition(states, tuple(moves), n * all_coins)
 
 
@@ -206,8 +211,8 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     The result is held as little-endian slots in ``_transition`` states order,
     each wide enough for the new denominator so no sum carries; a stepped input's
     slots are widened in place.  Orbit a's N slots are one int, a + x in slot x.
-    A move translates the whole orbit: by a shift of c slots into a 2N-slot sum
-    folded once per round, or under XOR by one block swap per bit of c.
+    Moves translate the whole orbit one c at a time: a shift of c slots into a 2N-slot
+    sum folded once per round, or under XOR one of N translates built by block swaps.
     """
     t = _transition(dist.domain, dist.tracked)
     n, xor = dist.domain.size, dist.domain.law is GroupLaw.XOR
@@ -230,13 +235,15 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
         weights = int.from_bytes(packed[a * orbit : (a + 1) * orbit], "little")
         if not weights:
             continue
-        moved = [weights] if xor else [weights << c * bits for c in range(n)]
+        moved = [weights]
         for shift, low in swaps:  # moved[c + j] is moved[c] with j-slot blocks swapped
             moved += [(w & low) << shift | (w >> shift) & low for w in moved]
-        for count, c, dests in moves:
-            share = count * moved[c]
-            for b in dests:
-                out[b] += share
+        for c, groups in moves:
+            translate = moved[c] if xor else weights << c * bits
+            for count, dests in groups:
+                share = count * translate
+                for b in dests:
+                    out[b] += share
     if not xor:
         out = [(w & full) + (w >> n * bits) for w in out]
     # Every slot of sum(out) is <= denominator < 2^bits: times the repunit, its top slot sums them.

@@ -250,6 +250,23 @@ def test_usage_errors_exit_1(capsys):
                "--rounds", "ten", "1")[0] == 1
 
 
+def test_malformed_numbers_are_argparse_usage_errors(capsys):
+    crypt = ("encrypt", "--key", KEY, "--radix", "10", "--length", "9")
+    cases = [
+        (crypt + ("--rounds", "ten", "1"), "argument --rounds: invalid int_or_auto value: 'ten'"),
+        (("bounds", "--N", "100", "--rounds", "2,x", "--q", "1", "--csv"),
+         "argument --rounds: invalid int_list value: '2,x'"),
+        (("bounds", "--N", "100", "--rounds", "8", "--q", "1,"),
+         "argument --q: invalid int_list value: '1,'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and message in err
+    # "auto" converts to planned rounds, which still need a query budget.
+    code, _, err = run(capsys, *crypt, "--rounds", "auto", "123456789")
+    assert code == 1 and "--rounds auto needs --queries" in err
+
+
 def test_parameter_errors_exit_2(capsys):
     assert run(capsys, "bounds", "--N", "100", "--rounds", "7", "--q", "5")[0] == 2
     assert run(capsys, "bounds", "--N", "100", "--rounds", "8", "--q", "200")[0] == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -364,3 +365,34 @@ def test_round_work_guard_counts_coins_that_exist():
         exact_tvd_after(Domain(9), 1, 8)
     with pytest.raises(ParameterError, match="outcomes"):
         ProjectedDistribution.stationary(Domain(9), 8)
+
+
+@pytest.mark.parametrize(
+    "n,law,rounds",
+    [
+        (2, GroupLaw.MOD_ADD, 1),
+        (3, GroupLaw.MOD_ADD, 5),
+        (12, GroupLaw.MOD_ADD, 3),
+        (8, GroupLaw.XOR, 7),
+        (64, GroupLaw.XOR, 9),
+        (2048, GroupLaw.XOR, 2),
+        (2896, GroupLaw.MOD_ADD, 2),
+    ],
+)
+def test_one_card_closed_form(n, law, rounds):
+    # Under either law exactly one subkey pairs x with each y != x, so a round
+    # moves the card to each other position with probability 1/(2N): the
+    # distance to uniform halves every round.
+    assert exact_tvd_after(Domain(n, law), rounds, 1) == Fraction(n - 1, n) / 2**rounds
+
+
+def test_one_card_step_holds_one_translate_at_a_time():
+    # At q=1 the one orbit is N slots wide; holding all N of its translates at
+    # once peaks near 90 MiB at this size, one translate at a time under 1 MiB.
+    tracemalloc.start()
+    try:
+        exact_tvd_after(Domain(2896), 4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

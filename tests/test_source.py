@@ -1,9 +1,14 @@
 """Source hygiene: every name a library module imports is used in that module,
-and every boundary the benchmark's layer tracer rebinds still exists.
+every function and class the library defines is referenced somewhere, and
+every boundary the benchmark's layer tracer rebinds still exists.
 
-There is no linter in the toolchain, so this test stands in for the one rule
-that has bitten the sources: an import left behind after its last use.
-``__init__.py`` is skipped because its imports are re-exports.
+There is no linter in the toolchain, so these tests stand in for the two rules
+that have bitten the sources: an import left behind after its last use, and a
+definition left behind after its last caller.  The import check skips
+``__init__.py`` because its imports are re-exports.  A definition counts as
+referenced when its name appears as a name, an attribute or an imported name
+in any Python file under ``src/``, ``tests/`` or ``bench/``; dunders are called
+by the language and are exempt.
 
 The tracer (``bench/layertrace.py``) skips a boundary that is gone from the
 library, so its metrics would silently read 0; the boundary tests catch a
@@ -20,9 +25,10 @@ import pytest
 from swapornot import FormatSpec, PrfKey, fpe
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(
-    path for path in (ROOT / "src" / "swapornot").glob("*.py") if path.name != "__init__.py"
-)
+LIBRARY = sorted((ROOT / "src" / "swapornot").glob("*.py"))
+SOURCES = [path for path in LIBRARY if path.name != "__init__.py"]
+# Read only: nothing is written under bench/.
+REFERRERS = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
 
 
 def load_layertrace() -> types.ModuleType:
@@ -56,6 +62,46 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
 def test_every_import_is_used(path):
     assert [f"{path.stem}.{name}" for name in unused_imports(path.read_text())] == []
+
+
+def definitions(source: str) -> list[str]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def references(source: str) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_dead_definitions_are_found():
+    library = (
+        "class Used:\n    def called(self): ...\n    def dead(self): ...\n"
+        "    def __len__(self): ...\n"
+        "def imported(): ...\ndef passed(): ...\ndef unused(): ...\n"
+    )
+    user = "from lib import imported\nUsed().called()\nmap(passed, [])\n"
+    used = references(library) | references(user)
+    assert sorted(set(definitions(library)) - used) == ["dead", "unused"]
+
+
+def test_every_definition_is_referenced():
+    used = set().union(*(references(path.read_text()) for path in REFERRERS))
+    dead = [
+        f"{path.stem}.{name}"
+        for path in LIBRARY
+        for name in definitions(path.read_text())
+        if name not in used
+    ]
+    assert dead == []
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
