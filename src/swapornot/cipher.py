@@ -148,8 +148,8 @@ class RoundMaterial:
         Subkeys depend only on (key, N, rounds), so the schedule is memoized
         on the key object and reused by later calls with the same key.
         """
-        if rounds < 0 or rounds > MAX_ROUNDS:
-            raise ParameterError(f"rounds must be in [0, {MAX_ROUNDS}], got {rounds}")
+        if not isinstance(rounds, int) or rounds < 0 or rounds > MAX_ROUNDS:
+            raise ParameterError(f"rounds must be an integer in [0, {MAX_ROUNDS}], got {rounds!r}")
         # Threads sharing a key may race here; that can only recompute a
         # schedule, since every entry is an immutable tuple stored under its own key.
         memo = key._schedules

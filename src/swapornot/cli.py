@@ -10,6 +10,8 @@ Subcommands:
 * ``vectors``              - regenerate the golden test vectors
 
 Exit codes: 0 on success, 1 on usage errors, 2 on parameter/domain errors.
+A usage error, whether argparse or a subcommand finds it, prints argparse's
+usage line and ``swapornot <command>: error: ...`` to stderr.
 Results go to stdout (machine-readable, deterministic; advantages at 6
 significant digits), diagnostics to stderr.
 """
@@ -29,16 +31,6 @@ from .errors import DomainError, ParameterError
 from .prf import PrfKey
 
 _MODEL_CHOICES = [m.value for m in bounds_mod.Model]
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the CLI contract wants 1.
-    def error(self, message: str):
-        raise _UsageError(f"{self.prog}: {message}")
 
 
 _SIX_DIGITS = decimal.Context(prec=6, rounding=decimal.ROUND_HALF_EVEN)
@@ -85,11 +77,11 @@ def _add_crypt_parser(sub, name: str, doc: str) -> None:
     p.add_argument("--queries", type=int, help="query budget, required for auto rounds")
     p.add_argument("--xor", action="store_true", help="use the XOR law (power-of-two N only)")
     p.add_argument("text", help="input digit string")
-    p.set_defaults(run=_cmd_crypt)
+    p.set_defaults(run=_cmd_crypt, parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="swapornot", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="swapornot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_crypt_parser(sub, "encrypt", "encrypt a radix string in place")
@@ -105,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", choices=_MODEL_CHOICES, default="cca")
     p.add_argument("--csv", action="store_true", help="emit N,rounds,q,model,advantage rows")
-    p.set_defaults(run=_cmd_bounds)
+    p.set_defaults(run=_cmd_bounds, parser=p)
 
     p = sub.add_parser("minrounds", help="smallest round count meeting a target")
     p.add_argument("--N", type=int, required=True, dest="domain_size")
@@ -136,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_crypt(args) -> int:
     rounds = args.rounds
     if rounds is None and args.queries is None:
-        raise _UsageError(
-            f"swapornot {args.command}: --rounds auto needs --queries, the number of values "
-            "this key will encrypt (at q near N the log of the bound falls by only about "
-            "1/(8N) per round); pass --queries or give --rounds"
+        args.parser.error(
+            "--rounds auto needs --queries, the number of values this key will encrypt "
+            "(at q near N the log of the bound falls by only about 1/(8N) per round); "
+            "pass --queries or give --rounds"
         )
     key = PrfKey.from_hex(args.key)
     spec = fpe.FormatSpec(args.radix, args.length)
@@ -154,7 +146,7 @@ def _cmd_crypt(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if not args.csv and (len(args.rounds) > 1 or len(args.q) > 1):
-        raise _UsageError("comma lists for --rounds/--q require --csv")
+        args.parser.error("comma lists for --rounds/--q require --csv")
     model = bounds_mod.Model(args.model)
     if args.csv:
         print("N,rounds,q,model,advantage")
@@ -220,11 +212,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error (the CLI's 1), 0 on --help
+        return 1 if exc.code else 0
     except (DomainError, ParameterError) as exc:
         print(f"swapornot {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -313,25 +313,29 @@ def validation_grid(
     ModAdd covers N in 3..max_size; XOR covers the powers of two in range.
     Starting positions are the canonical tuple.  Every row must satisfy
     tvd <= bound; a violation means the cipher, the DP, or the bound
-    arithmetic is wrong.  ``max_rounds`` is capped at ``MAX_EXACT_ROUNDS``.
+    arithmetic is wrong.  ``max_rounds`` is capped at ``MAX_EXACT_ROUNDS``, and
+    a grid with any (N, q) chain over ``MAX_ROUND_WORK`` is refused before its
+    first row.
     """
     if not 0 <= max_rounds <= MAX_EXACT_ROUNDS:
         raise ParameterError(f"rounds must be in [0, {MAX_EXACT_ROUNDS}], got {max_rounds}")
     domains = [Domain(n, GroupLaw.MOD_ADD) for n in range(3, max_size + 1)]
     domains += [Domain(n, GroupLaw.XOR) for n in range(4, max_size + 1) if n & (n - 1) == 0]
-    for domain in domains:
-        for q in range(1, min(max_tracked, domain.size) + 1):
-            dist = ProjectedDistribution.point_mass(domain, tuple(range(q)))
-            for r in range(1, max_rounds + 1):
-                dist = step(dist)
-                yield ValidationRow(
-                    law=domain.law,
-                    domain_size=domain.size,
-                    tracked=q,
-                    rounds=r,
-                    tvd=tvd_to_stationary(dist),
-                    bound=bounds.ncpa_bound(domain.size, r, q),
-                )
+    chains = [(d, q) for d in domains for q in range(1, min(max_tracked, d.size) + 1)]
+    for domain, q in chains:
+        _check_round_work(domain, q)
+    for domain, q in chains:
+        dist = ProjectedDistribution.point_mass(domain, tuple(range(q)))
+        for r in range(1, max_rounds + 1):
+            dist = step(dist)
+            yield ValidationRow(
+                law=domain.law,
+                domain_size=domain.size,
+                tracked=q,
+                rounds=r,
+                tvd=tvd_to_stationary(dist),
+                bound=bounds.ncpa_bound(domain.size, r, q),
+            )
 
 
 @dataclass(frozen=True)

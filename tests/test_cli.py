@@ -224,6 +224,16 @@ def test_mixlab_rounds_capped_where_the_bound_is_exact(capsys):
     assert err.startswith("mixlab: 64 rows, 0 violations, tightest ")
 
 
+def test_mixlab_refuses_an_oversized_grid_before_its_first_row(capsys, monkeypatch):
+    def no_step(dist):
+        raise AssertionError("a chain was stepped before the grid was checked")
+
+    monkeypatch.setattr(mixing, "step", no_step)
+    code, out, err = run(capsys, "mixlab", "--max-n", "9", "--max-q", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith("swapornot mixlab: one exact round of N=9, q=7 costs ")
+
+
 def test_vectors_matches_frozen_file(capsys):
     code, out, _ = run(capsys, "vectors")
     assert code == 0
@@ -265,6 +275,28 @@ def test_malformed_numbers_are_argparse_usage_errors(capsys):
     # "auto" converts to planned rounds, which still need a query budget.
     code, _, err = run(capsys, *crypt, "--rounds", "auto", "123456789")
     assert code == 1 and "--rounds auto needs --queries" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("encrypt", "--key", KEY, "--radix", "10", "--length", "9", "--rounds", "ten", "1"),
+         "swapornot encrypt: error: argument --rounds: invalid int_or_auto value: 'ten'"),
+        (("bogus",), "swapornot: error: argument command: invalid choice: 'bogus'"),
+        (("encrypt", "--key", KEY, "--radix", "10", "--length", "9", "123456789"),
+         "swapornot encrypt: error: --rounds auto needs --queries, "),
+        (("bounds", "--N", "100", "--rounds", "2,4", "--q", "1"),
+         "swapornot bounds: error: comma lists for --rounds/--q require --csv"),
+    ],
+    ids=["argparse-type", "argparse-choice", "crypt-handler", "bounds-handler"],
+)
+def test_usage_errors_take_argparse_error_path(capsys, argv, message):
+    # Whether argparse or a subcommand finds it, a usage error prints the
+    # usage line and argparse's "prog: error: message" line, and nothing on stdout.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: swapornot")
+    assert message in err
 
 
 def test_parameter_errors_exit_2(capsys):

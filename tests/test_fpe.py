@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapornot import (
+    Domain,
     DomainError,
     FormatSpec,
     ParameterError,
     PrfKey,
     RoundCapExceeded,
+    RoundMaterial,
     decode_digits,
     encode_digits,
     fpe_decrypt,
@@ -133,6 +135,22 @@ def test_rounds_floor():
         fpe_encrypt(KEY, spec, "123456789", b"", 1)
     with pytest.raises(ParameterError):
         fpe_encrypt(KEY, spec, "123456789", b"", 0)
+
+
+def test_float_rounds_are_refused():
+    # 10.0 == 10 and hash(10.0) == hash(10): on a key whose memo holds the
+    # 10-round schedule a float would find it, and on a fresh key it would
+    # reach itertools.islice.  Both are refused before either.
+    spec = FormatSpec(10, 9)
+    for warm in (False, True):
+        key = PrfKey(KEY.key_bytes)
+        if warm:
+            fpe_encrypt(key, spec, "123456789", b"", 10)
+        for work in (fpe_encrypt, fpe_decrypt):
+            with pytest.raises(ParameterError, match="got 10.0"):
+                work(key, spec, "123456789", b"", 10.0)
+        with pytest.raises(ParameterError, match="integer"):
+            RoundMaterial.derived(Domain(spec.domain_size), 10.0, key)
 
 
 def test_malformed_plaintext():

@@ -114,6 +114,17 @@ def test_sweep_validates_only_its_start_tuples(monkeypatch):
     assert len(calls) == 48
 
 
+def test_oversized_grid_is_refused_before_its_first_row(monkeypatch):
+    # N=9, q=7 is over MAX_ROUND_WORK.  The chains N=3..8 come first in the
+    # sweep, but every chain is checked before any is stepped.
+    def no_step(dist):
+        raise AssertionError("a chain was stepped before the grid was checked")
+
+    monkeypatch.setattr(mixing, "step", no_step)
+    with pytest.raises(ParameterError, match="outcomes"):
+        list(validation_grid(9, 7, 1))
+
+
 def test_support_guard():
     with pytest.raises(ParameterError):
         exact_tvd_after(Domain(1000), 1, 3, (0, 1, 2))  # ~1e9 tuples
