@@ -16,15 +16,19 @@ under one of two personalizations.  ``son.prf`` is the PRF proper, and
 functions, kept separate so a seed never reproduces a PRF key's cipher.
 
 The loop picks its path from the source's type.  With a ``DerivedSource``
-(and no trace) it hashes every round bit inline from the key's keyed
-BLAKE2b state, with no call per round; ``prf.round_bit`` stays the spec it
-must match, and an override of ``PrfKey.block`` does not see these round
-bits.  Every other source, ``RoundMaterial.reversed()`` and
-``encipher_traced`` go through ``BitSource.bit`` once per round.
+(and no trace) it hashes every round bit inline, with no call per round,
+from ``prf.round_states``: the key's keyed state already holding each round's
+prefix, kept by a reused schedule (``STATE_USES``) and else built per call.
+``prf.round_bit`` stays the spec it must match, and an override of
+``PrfKey.block`` does not see these round bits.  Every other source,
+``RoundMaterial.reversed()`` and ``encipher_traced`` go through
+``BitSource.bit`` once per round.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -36,6 +40,9 @@ from .errors import DomainError, ParameterError
 MAX_ROUNDS = 1 << 16
 # Subkey schedules one key object memoizes before it starts afresh.
 SCHEDULE_MEMO_SIZE = 4
+# Calls for one memoized schedule before it keeps its round states, ≈0.45 KB
+# each: a key that encrypts and then decrypts once pins none.
+STATE_USES = 3
 
 
 class BitSource(Protocol):
@@ -126,15 +133,26 @@ class RoundMaterial:
 
     subkeys: tuple[int, ...]
     source: BitSource
+    # Set by ``derived`` on a reused schedule: prf.round_states of its key.
+    _states = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subkeys", tuple(self.subkeys))
         if len(self.subkeys) > MAX_ROUNDS:
             raise ParameterError(f"round count {len(self.subkeys)} exceeds cap {MAX_ROUNDS}")
 
+    def __reduce__(self):
+        # The cached span and round states are rebuilt, not copied: hashers cannot be pickled.
+        return type(self), (self.subkeys, self.source)
+
     @property
     def rounds(self) -> int:
         return len(self.subkeys)
+
+    @functools.cached_property
+    def _span(self) -> tuple[int, int]:
+        """The least and greatest subkey (0 for none), taken once: ``subkeys`` is a tuple."""
+        return min(self.subkeys, default=0), max(self.subkeys, default=0)
 
     @classmethod
     def ideal(cls, domain: Domain, rounds: int, seed: bytes) -> "RoundMaterial":
@@ -142,24 +160,40 @@ class RoundMaterial:
         return cls.derived(domain, rounds, _IdealKey(seed))
 
     @classmethod
-    def derived(cls, domain: Domain, rounds: int, key: prf.PrfKey) -> "RoundMaterial":
+    def derived(
+        cls, domain: Domain, rounds: int, key: prf.PrfKey, least: int = 0
+    ) -> "RoundMaterial":
         """Material with subkeys and round bits derived from a keyed PRF.
 
-        Subkeys depend only on (key, N, rounds), so the schedule is memoized
-        on the key object and reused by later calls with the same key.
+        ``rounds`` must be an integer in [least, MAX_ROUNDS].  Subkeys depend only
+        on (key, N, rounds), so the schedule, its span and, once reused, its round
+        states are memoized on the key object for later calls with the same key.
         """
-        if not isinstance(rounds, int) or rounds < 0 or rounds > MAX_ROUNDS:
-            raise ParameterError(f"rounds must be an integer in [0, {MAX_ROUNDS}], got {rounds!r}")
-        # Threads sharing a key may race here; that can only recompute a
-        # schedule, since every entry is an immutable tuple stored under its own key.
-        memo = key._schedules
-        subkeys = memo.get((domain.size, rounds))
-        if subkeys is None:
+        if not isinstance(rounds, int) or not least <= rounds <= MAX_ROUNDS:
+            raise ParameterError(
+                f"rounds must be an integer in [{least}, {MAX_ROUNDS}], got {rounds!r}"
+            )
+        # An entry is (subkeys, their span, calls so far, round states or None).
+        # Threads sharing a key may race here; that can only recompute a schedule or
+        # its states, or miss a call, since every entry is an immutable tuple.
+        memo, shape = key._schedules, (domain.size, rounds)
+        entry = memo.get(shape)
+        if entry is None:
             subkeys = prf.derive_subkeys(key, domain, rounds) if rounds else ()
+            material = cls(subkeys, DerivedSource(key))
             if len(memo) >= SCHEDULE_MEMO_SIZE:
                 memo.clear()
-            memo[domain.size, rounds] = subkeys
-        return cls(subkeys, DerivedSource(key))
+            memo[shape] = (material.subkeys, material._span, 1, None)
+            return material
+        subkeys, span, uses, states = entry
+        if states is None:
+            uses += 1
+            states = prf.round_states(key, rounds) if uses >= STATE_USES else None
+            memo[shape] = (subkeys, span, uses, states)
+        material = cls(subkeys, DerivedSource(key))
+        object.__setattr__(material, "_span", span)
+        object.__setattr__(material, "_states", states)
+        return material
 
     def reversed(self) -> "RoundMaterial":
         """Material that runs this material's rounds in the opposite order.
@@ -206,10 +240,9 @@ def _run(
     """
     domain.check_element(x)
     subkeys = material.subkeys
-    if subkeys:
-        lo, hi = min(subkeys), max(subkeys)
-        if lo < 0 or hi >= domain.size:
-            raise DomainError(f"subkey {lo if lo < 0 else hi} not in [0, {domain.size})")
+    lo, hi = material._span
+    if lo < 0 or hi >= domain.size:
+        raise DomainError(f"subkey {lo if lo < 0 else hi} not in [0, {domain.size})")
     source = material.source
     ctx = source.context(tweak)
     # Inputs are validated above; inline the group law for the hot loop.
@@ -217,15 +250,17 @@ def _run(
     n = domain.size
     order = reversed if backward else iter
     if type(source) is DerivedSource and trace is None:
-        # prf.round_bit hashed inline from the key's keyed state, in the layout
-        # of prf.encode_round_bit.  Round indices fit its 4-byte field, since
-        # MAX_ROUNDS < 2**32.
-        copy = source.key._keyed.copy
+        # prf.round_bit hashed inline, in the layout of prf.encode_round_bit, from
+        # states that hold each round's prefix (MAX_ROUNDS < 2**32 fits its 4-byte
+        # index): copies of a reused schedule's, or ones built for this call alone.
+        states = material._states
+        if states is None:
+            hashers = order(prf.round_states(source.key, len(subkeys)))
+        else:
+            hashers = map(hashlib.blake2b.copy, order(states))
         td = ctx.digest
-        for prefix, k in zip(order(prf.round_prefixes(len(subkeys))), order(subkeys)):
+        for h, k in zip(hashers, order(subkeys)):
             xp = k ^ x if xor else (k - x) % n
-            h = copy()
-            h.update(prefix)
             h.update(td)
             h.update((xp if xp > x else x).to_bytes(16, "big"))
             if h.digest()[-1] & 1:

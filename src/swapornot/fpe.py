@@ -109,10 +109,8 @@ def _fpe(cipher, key, spec, text, tweak, rounds, queries, target_advantage, xor_
                 "the log of the bound falls by only about 1/(8N) per round"
             )
         rounds = plan_rounds(spec, queries, target_advantage)
-    if rounds < MIN_FPE_ROUNDS:
-        raise ParameterError(f"FPE requires at least {MIN_FPE_ROUNDS} rounds, got {rounds}")
     domain = spec.domain(xor_law)
-    material = RoundMaterial.derived(domain, rounds, key)
+    material = RoundMaterial.derived(domain, rounds, key, MIN_FPE_ROUNDS)
     return decode_digits(cipher(domain, material, encode_digits(text, spec), tweak), spec)
 
 

@@ -20,20 +20,22 @@ domains (where no candidate is ever rejected) subkey i comes from counter i.
 
 A :class:`PrfKey` builds its keyed BLAKE2b state once and copies it for each
 block, and carries a small memo of subkey schedules, keyed by (N, rounds),
-that ``cipher.RoundMaterial.derived`` fills.  Both live and die with the key
-object; neither takes part in its equality, hash, repr, copies or pickles.
+that ``cipher.RoundMaterial.derived`` fills (with ``round_states`` too, once
+reused).  Both live and die with the key object; neither takes part in its
+equality, hash, repr, copies or pickles.
 
 ``encode_round_bit`` and ``round_bit`` are the normative round-bit spec, and
 the tests compare the cipher against them.  The cipher's production loop
-does not call them: it copies the key's keyed state and hashes each round's
-message inline, from ``round_prefixes`` and the tweak digest, in this same
-layout.  Subkey draws are hashed inline too, unless the key's class overrides
-``block``: the override sees tweak digests and, since ``sample_uniform`` reads
-draws in chunks never past the last accepted one, exactly the draws consumed.
+does not call them: from ``round_states`` it hashes each round's tweak digest
+and element inline, in this same layout.  Subkey draws are hashed inline too,
+unless the key's class overrides ``block``: the override sees tweak digests
+and, since ``sample_uniform`` reads draws in chunks never past the last
+accepted one, exactly the draws consumed.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -131,6 +133,13 @@ def round_prefix(round_index: int) -> bytes:
 def round_prefixes(rounds: int) -> tuple[bytes, ...]:
     """The prefixes of rounds 1..rounds, built on first use of a round count."""
     return tuple(round_prefix(i) for i in range(1, rounds + 1))
+
+
+def round_states(key: PrfKey, rounds: int) -> tuple:
+    """Copies of the key's keyed state, the i-th fed ``round_prefix(i)``, all at C level."""
+    states = tuple(itertools.starmap(key._keyed.copy, itertools.repeat((), rounds)))
+    collections.deque(map(hashlib.blake2b.update, states, round_prefixes(rounds)), maxlen=0)
+    return states
 
 
 def encode_round_bit(round_index: int, td: TweakDigest, x_hat: int) -> bytes:

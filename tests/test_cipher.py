@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from swapornot import (
     encipher_traced,
 )
 from swapornot import prf
-from swapornot.cipher import MAX_ROUNDS, SCHEDULE_MEMO_SIZE
+from swapornot.cipher import MAX_ROUNDS, SCHEDULE_MEMO_SIZE, STATE_USES, _IdealKey
 
 from helpers import is_permutation, reference_encipher
 
@@ -180,6 +183,11 @@ def test_keyed_loop_equals_generic_loop_at_scale(d, ideal):
     for rounds in (0, 1, 2, 340, 478):
         m = RoundMaterial.ideal(d, rounds, SEED) if ideal else RoundMaterial.derived(d, rounds, KEY)
         key = m.source.key
+        # The same schedule on a fresh key object, asked for until it keeps round states.
+        fresh = _IdealKey(SEED) if ideal else PrfKey(KEY.key_bytes)
+        for _ in range(STATE_USES):
+            reused = RoundMaterial.derived(d, rounds, fresh)
+        assert reused.subkeys == m.subkeys and len(reused._states) == rounds
         for tweak in (b"", rng.randbytes(8), rng.randbytes(256)):
             td = prf.tweak_digest(key, tweak)
             generic = RoundMaterial(
@@ -187,8 +195,9 @@ def test_keyed_loop_equals_generic_loop_at_scale(d, ideal):
             )
             for x in (0, 1, d.size - 1, rng.randrange(d.size)):
                 y = encipher(d, m, x, tweak)
-                assert y == encipher(d, generic, x)
+                assert y == encipher(d, generic, x) == encipher(d, reused, x, tweak)
                 assert decipher(d, m, y, tweak) == x == decipher(d, generic, y)
+                assert decipher(d, reused, y, tweak) == x
 
 
 def test_keyed_loop_skips_the_bit_call_chain(monkeypatch):
@@ -261,20 +270,31 @@ def test_derived_schedule_is_memoized_per_key():
 
 
 def test_shared_key_schedule_memo_under_threads():
-    # Threads racing on one key's memo may recompute a schedule, never see a wrong one.
+    # Threads racing on one key's memo may recompute a schedule or its round
+    # states, never see a wrong one or give a wrong bit.
     shapes = [(n, r) for n in (10, 1000, 1024) for r in (3, 8)]
     assert len(shapes) > SCHEDULE_MEMO_SIZE
-    expected = {
-        (n, r): RoundMaterial.derived(Domain(n), r, PrfKey(SEED)).subkeys for n, r in shapes
-    }
+    expected = {}
+    for n, r in shapes:
+        m = RoundMaterial.derived(Domain(n), r, PrfKey(SEED))
+        expected[n, r] = m.subkeys, [encipher(Domain(n), m, x, b"tw") for x in range(n)]
     key = PrfKey(SEED)
-    wrong = []
+    wrong, with_states = [], []
 
     def work(offset):
         for i in range(300):
             n, r = shapes[(i + offset) % len(shapes)]
-            if RoundMaterial.derived(Domain(n), r, key).subkeys != expected[n, r]:
+            m = RoundMaterial.derived(Domain(n), r, key)
+            if m.subkeys != expected[n, r][0]:
                 wrong.append((n, r))
+            # Reuse the schedule until it keeps its round states, then use them.
+            for _ in range(STATE_USES):
+                m = RoundMaterial.derived(Domain(n), r, key)
+            with_states.append(m._states is not None)
+            x = i * 7 % n
+            y = encipher(Domain(n), m, x, b"tw")
+            if y != expected[n, r][1][x] or decipher(Domain(n), m, y, b"tw") != x:
+                wrong.append((n, r, x))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
     interval = sys.getswitchinterval()
@@ -287,7 +307,7 @@ def test_shared_key_schedule_memo_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+    assert wrong == [] and len(with_states) == 6 * 300 and any(with_states)
 
 
 def test_reversal_symmetry():
@@ -395,6 +415,54 @@ def test_subkey_domain_mismatch():
     m = RoundMaterial((3, 12), ConstantSource(1))  # 12 is not in [0, 10)
     with pytest.raises(DomainError):
         encipher(d, m, 0)
+
+
+def test_cached_span_guards_every_domain():
+    # A material's subkey span is taken once, then compared with each domain it meets.
+    m = RoundMaterial((3, 12), ConstantSource(1))
+    assert encipher(Domain(13), m, 0) == 9
+    for _ in range(2):
+        with pytest.raises(DomainError, match="subkey 12 not in"):
+            encipher(Domain(10), m, 0)
+        with pytest.raises(DomainError, match="subkey 12 not in"):
+            decipher(Domain(10), m, 0)
+    assert decipher(Domain(13), m, 9) == 0
+    # So is a derived schedule's, memoized with it, before and after it keeps round states.
+    key = PrfKey(SEED)
+    for _ in range(STATE_USES):
+        derived = RoundMaterial.derived(Domain(1000), 17, key)
+        with pytest.raises(DomainError):
+            encipher(Domain(10), derived, 0)
+    assert derived._states is not None
+
+
+def test_round_states_held_only_by_a_reused_schedule():
+    d, rounds = Domain(10**9), 340
+    RoundMaterial.derived(d, rounds, PrfKey(bytes(32)))  # builds the shared caches
+    key = PrfKey(SEED)
+    tracemalloc.start()
+    try:
+        first = RoundMaterial.derived(d, rounds, key)
+        encipher(d, first, 5)
+        once = tracemalloc.get_traced_memory()[0]
+        materials = [RoundMaterial.derived(d, rounds, key) for _ in range(STATE_USES - 1)]
+        reused = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # Used once, the key holds its subkeys and no round state (a state is about 0.45 KB).
+    assert once < 200 * rounds
+    assert all(m._states is None for m in [first, *materials[:-1]])
+    # Reused, its schedule holds exactly one state per round, shared by later materials.
+    states = materials[-1]._states
+    assert len(states) == rounds and reused - once > 300 * rounds
+    assert RoundMaterial.derived(d, rounds, key)._states is states
+    assert len(key._schedules) <= SCHEDULE_MEMO_SIZE
+    # They stay out of the material's equality, copies and pickles.
+    m = materials[-1]
+    public = RoundMaterial(m.subkeys, DerivedSource(key))
+    assert m == public and public._states is None
+    for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert clone == m and encipher(d, clone, 5, b"t") == encipher(d, m, 5, b"t")
 
 
 def test_round_cap():

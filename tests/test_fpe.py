@@ -153,6 +153,13 @@ def test_float_rounds_are_refused():
             RoundMaterial.derived(Domain(spec.domain_size), 10.0, key)
 
 
+def test_str_rounds_are_refused():
+    # The round count's type is checked before it is compared with the FPE floor.
+    for work in (fpe_encrypt, fpe_decrypt):
+        with pytest.raises(ParameterError, match="got '10'"):
+            work(KEY, FormatSpec(10, 9), "123456789", b"", "10")
+
+
 def test_malformed_plaintext():
     spec = FormatSpec(10, 9)
     with pytest.raises(DomainError):

@@ -19,7 +19,7 @@ from swapornot import (
     tweak_digest,
 )
 from swapornot import prf
-from swapornot.cipher import _IdealKey
+from swapornot.cipher import STATE_USES, _IdealKey
 from swapornot.errors import ParameterError
 from swapornot.prf import (
     KEY_BYTES,
@@ -55,6 +55,10 @@ def test_used_key_is_a_plain_value():
     used = PrfKey(raw)
     ciphertext = fpe_encrypt(used, FormatSpec(10, 6), "123456", b"t", 12)
     RoundMaterial.derived(Domain(1000), 5, used)
+    # Used again until the schedule keeps its round states.
+    for _ in range(STATE_USES - 1):
+        assert fpe_encrypt(used, FormatSpec(10, 6), "123456", b"t", 12) == ciphertext
+    assert len(RoundMaterial.derived(Domain(10**6), 12, used)._states) == 12
     fresh = PrfKey(raw)
     assert used == fresh and hash(used) == hash(fresh)
     assert used != PrfKey(bytes(KEY_BYTES))
