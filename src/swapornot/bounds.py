@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .cipher import MAX_ROUNDS as ROUND_CAP
-from .errors import ParameterError, RoundCapExceeded
+from .errors import ParameterError, RoundCapExceeded, check_int
+from .prf import MAX_ROUNDS as ROUND_CAP
 
 # Significant decimal digits for internal evaluation.
 PRECISION_DPS = 60
@@ -141,18 +141,12 @@ def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
     query budget must then be at least 1 for every model.
     """
     row = _MODELS[model]
-    if not isinstance(n, int) or n < 2:
-        raise ParameterError(f"domain size must be an integer >= 2, got {n!r}")
+    check_int(n, "domain size", 2)
     if row.pow2 and n & (n - 1):
         raise ParameterError(f"{model.value} model needs a power-of-two domain, got {n}")
-    min_q = row.min_q if rounds is not None else 1
-    if not isinstance(q, int) or q < min_q:
-        raise ParameterError(f"query budget must be an integer >= {min_q}, got {q!r}")
-    if row.q_le_n and q > n:
-        raise ParameterError(f"query budget {q} exceeds domain size {n}")
+    check_int(q, "query budget", row.min_q if rounds is not None else 1, n if row.q_le_n else None)
     if rounds is not None:
-        if not isinstance(rounds, int) or rounds < row.step:
-            raise ParameterError(f"{model.value} model needs rounds >= {row.step}, got {rounds!r}")
+        check_int(rounds, f"{model.value} rounds", row.step)
         if rounds % row.step:
             raise ParameterError(
                 f"{model.value} model is stated for even round counts; "

@@ -34,10 +34,9 @@ from typing import Any, Callable, NamedTuple, Protocol
 
 from . import prf
 from .domain import Domain, GroupLaw
-from .errors import DomainError, ParameterError
+from .errors import DomainError, check_int
+from .prf import MAX_ROUNDS
 
-# Longest key schedule; the round planner in ``bounds`` searches up to it.
-MAX_ROUNDS = 1 << 16
 # Subkey schedules one key object memoizes before it starts afresh.
 SCHEDULE_MEMO_SIZE = 4
 # Calls for one memoized schedule before it keeps its round states, ≈0.45 KB
@@ -138,11 +137,10 @@ class RoundMaterial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subkeys", tuple(self.subkeys))
-        if len(self.subkeys) > MAX_ROUNDS:
-            raise ParameterError(f"round count {len(self.subkeys)} exceeds cap {MAX_ROUNDS}")
+        check_int(len(self.subkeys), "round count", 0, MAX_ROUNDS)
 
     def __reduce__(self):
-        # The cached span and round states are rebuilt, not copied: hashers cannot be pickled.
+        # The cached top and round states are rebuilt, not copied: hashers cannot be pickled.
         return type(self), (self.subkeys, self.source)
 
     @property
@@ -150,9 +148,11 @@ class RoundMaterial:
         return len(self.subkeys)
 
     @functools.cached_property
-    def _span(self) -> tuple[int, int]:
-        """The least and greatest subkey (0 for none), taken once: ``subkeys`` is a tuple."""
-        return min(self.subkeys, default=0), max(self.subkeys, default=0)
+    def _top(self) -> int:
+        """The greatest subkey (0 for none), taken once all are checked to be ints >= 0."""
+        for k in self.subkeys:
+            check_int(k, "subkey", 0, error=DomainError)
+        return max(self.subkeys, default=0)
 
     @classmethod
     def ideal(cls, domain: Domain, rounds: int, seed: bytes) -> "RoundMaterial":
@@ -166,32 +166,27 @@ class RoundMaterial:
         """Material with subkeys and round bits derived from a keyed PRF.
 
         ``rounds`` must be an integer in [least, MAX_ROUNDS].  Subkeys depend only
-        on (key, N, rounds), so the schedule, its span and, once reused, its round
-        states are memoized on the key object for later calls with the same key.
+        on (key, N, rounds), so the schedule, its greatest subkey and, once reused, its
+        round states are memoized on the key object for later calls with the same key.
         """
-        if not isinstance(rounds, int) or not least <= rounds <= MAX_ROUNDS:
-            raise ParameterError(
-                f"rounds must be an integer in [{least}, {MAX_ROUNDS}], got {rounds!r}"
-            )
-        # An entry is (subkeys, their span, calls so far, round states or None).
+        check_int(rounds, "rounds", least, MAX_ROUNDS)
+        # An entry is (subkeys, the greatest, calls so far, round states or None).
         # Threads sharing a key may race here; that can only recompute a schedule or
         # its states, or miss a call, since every entry is an immutable tuple.
         memo, shape = key._schedules, (domain.size, rounds)
         entry = memo.get(shape)
         if entry is None:
             subkeys = prf.derive_subkeys(key, domain, rounds) if rounds else ()
-            material = cls(subkeys, DerivedSource(key))
             if len(memo) >= SCHEDULE_MEMO_SIZE:
                 memo.clear()
-            memo[shape] = (material.subkeys, material._span, 1, None)
-            return material
-        subkeys, span, uses, states = entry
-        if states is None:
-            uses += 1
-            states = prf.round_states(key, rounds) if uses >= STATE_USES else None
-            memo[shape] = (subkeys, span, uses, states)
+            memo[shape] = entry = (subkeys, max(subkeys, default=0), 1, None)
+        elif entry[3] is None:
+            subkeys, top, uses, _ = entry
+            states = prf.round_states(key, rounds) if uses + 1 >= STATE_USES else None
+            memo[shape] = entry = (subkeys, top, uses + 1, states)
+        subkeys, top, _, states = entry
         material = cls(subkeys, DerivedSource(key))
-        object.__setattr__(material, "_span", span)
+        object.__setattr__(material, "_top", top)
         object.__setattr__(material, "_states", states)
         return material
 
@@ -239,10 +234,9 @@ def _run(
     Appends a :class:`RoundStep` per round to ``trace`` when one is passed.
     """
     domain.check_element(x)
-    subkeys = material.subkeys
-    lo, hi = material._span
-    if lo < 0 or hi >= domain.size:
-        raise DomainError(f"subkey {lo if lo < 0 else hi} not in [0, {domain.size})")
+    subkeys, top = material.subkeys, material._top
+    if top >= domain.size:
+        raise DomainError(f"subkey {top} not in [0, {domain.size})")
     source = material.source
     ctx = source.context(tweak)
     # Inputs are validated above; inline the group law for the hot loop.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 # Elements are unsigned integers of at most 128 bits.
 MAX_DOMAIN_SIZE = 1 << 128
@@ -30,18 +30,14 @@ class Domain:
     law: GroupLaw = GroupLaw.MOD_ADD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 2:
-            raise DomainError(f"domain size must be an integer >= 2, got {self.size!r}")
-        if self.size > MAX_DOMAIN_SIZE:
-            raise DomainError(f"domain size must be <= 2**128, got {self.size}")
+        check_int(self.size, "domain size", 2, MAX_DOMAIN_SIZE, DomainError)
         if self.law is GroupLaw.XOR and self.size & (self.size - 1):
             raise DomainError(f"XOR law requires a power-of-two size, got {self.size}")
 
     @classmethod
     def xor_bits(cls, bit_width: int) -> "Domain":
         """Domain of bit_width-bit strings under XOR (size 2**bit_width)."""
-        if not isinstance(bit_width, int) or bit_width < 1:
-            raise DomainError(f"bit width must be an integer >= 1, got {bit_width!r}")
+        check_int(bit_width, "bit width", 1, MAX_DOMAIN_SIZE.bit_length() - 1, DomainError)
         return cls(1 << bit_width, GroupLaw.XOR)
 
     @property
@@ -50,8 +46,7 @@ class Domain:
         return (self.size - 1).bit_length()
 
     def check_element(self, x: int, name: str = "element") -> None:
-        if not isinstance(x, int) or not 0 <= x < self.size:
-            raise DomainError(f"{name} {x!r} not in [0, {self.size})")
+        check_int(x, name, 0, self.size - 1, DomainError)
 
     def partner(self, subkey: int, x: int) -> int:
         """The element paired with x by the subkey: subkey - x mod N, or subkey xor x.

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import bounds
 from .cipher import RoundMaterial, decipher, encipher
 from .domain import MAX_DOMAIN_SIZE, Domain, GroupLaw
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_int
 from .prf import PRF_ID, PrfKey
 
 ALPHABET = string.digits + string.ascii_lowercase
@@ -43,10 +43,8 @@ class FormatSpec:
     length: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.radix, int) or not 2 <= self.radix <= 36:
-            raise DomainError(f"radix must be an integer in [2, 36], got {self.radix!r}")
-        if not isinstance(self.length, int) or self.length < 1:
-            raise DomainError(f"length must be an integer >= 1, got {self.length!r}")
+        check_int(self.radix, "radix", 2, len(ALPHABET), DomainError)
+        check_int(self.length, "length", 1, error=DomainError)
         if self.domain_size > MAX_DOMAIN_SIZE:
             raise DomainError(
                 f"radix**length must be <= 2**128, got {self.radix}**{self.length}"
@@ -83,8 +81,7 @@ def encode_digits(text: str, spec: FormatSpec) -> int:
 
 def decode_digits(value: int, spec: FormatSpec) -> str:
     """Inverse of encode_digits, zero-padded to the format's length."""
-    if not isinstance(value, int) or not 0 <= value < spec.domain_size:
-        raise DomainError(f"value {value!r} not in [0, {spec.domain_size})")
+    check_int(value, "value", 0, spec.domain_size - 1, DomainError)
     digits = []
     for _ in range(spec.length):
         value, d = divmod(value, spec.radix)

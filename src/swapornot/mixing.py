@@ -40,7 +40,7 @@ from typing import Iterator, Mapping, NamedTuple
 from . import bounds
 from .cipher import CallableSource, RoundMaterial
 from .domain import Domain, GroupLaw
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_int
 
 # Work guards, each on the product that sizes what it guards.  An exact round
 # of q cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the
@@ -55,13 +55,8 @@ MAX_SHUFFLE_WORK = 1 << 20
 TRANSITION_CACHE_SIZE = 64
 
 
-def _check_tracked(domain: Domain, tracked: int) -> None:
-    if not 1 <= tracked <= domain.size:
-        raise ParameterError(f"tracked cards must be in [1, {domain.size}], got {tracked}")
-
-
 def _check_round_work(domain: Domain, tracked: int) -> None:
-    _check_tracked(domain, tracked)
+    check_int(tracked, "tracked cards", 1, domain.size)
     work = math.perm(domain.size, tracked) * domain.size << min(tracked, domain.size // 2)
     if work > MAX_ROUND_WORK:
         raise ParameterError(
@@ -99,7 +94,7 @@ class ProjectedDistribution:
     _packed = None  # (slots, bytes per slot) of a stepped distribution
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
-        _check_tracked(domain, tracked)
+        check_int(tracked, "tracked cards", 1, domain.size)
         exact = {tup: Fraction(p) for tup, p in probs.items()}
         for tup, p in exact.items():
             if len(tup) != tracked or len(set(tup)) != tracked:
@@ -274,8 +269,8 @@ def exact_tvd_after(
 
     ``start`` defaults to the canonical tuple (0, 1, ..., tracked-1).
     """
-    if not 0 <= rounds <= MAX_EXACT_ROUNDS:
-        raise ParameterError(f"rounds must be in [0, {MAX_EXACT_ROUNDS}], got {rounds}")
+    check_int(rounds, "rounds", 0, MAX_EXACT_ROUNDS)
+    check_int(tracked, "tracked cards", 1, domain.size)
     if start is None:
         start = tuple(range(tracked))
     dist = ProjectedDistribution.point_mass(domain, tuple(start))
@@ -317,8 +312,9 @@ def validation_grid(
     a grid with any (N, q) chain over ``MAX_ROUND_WORK`` is refused before its
     first row.
     """
-    if not 0 <= max_rounds <= MAX_EXACT_ROUNDS:
-        raise ParameterError(f"rounds must be in [0, {MAX_EXACT_ROUNDS}], got {max_rounds}")
+    check_int(max_size, "max_size", 2)
+    check_int(max_tracked, "max_tracked", 1)
+    check_int(max_rounds, "rounds", 0, MAX_EXACT_ROUNDS)
     domains = [Domain(n, GroupLaw.MOD_ADD) for n in range(3, max_size + 1)]
     domains += [Domain(n, GroupLaw.XOR) for n in range(4, max_size + 1) if n & (n - 1) == 0]
     chains = [(d, q) for d in domains for q in range(1, min(max_tracked, d.size) + 1)]
@@ -364,8 +360,7 @@ class ShuffleSample:
 def shuffle_sample(domain: Domain, rounds: int, seed: int) -> ShuffleSample:
     """Sample a full r-round shuffle of the deck [N] (N * rounds capped for memory)."""
     n = domain.size
-    if rounds < 0:
-        raise ParameterError(f"rounds must be >= 0, got {rounds}")
+    check_int(rounds, "rounds", 0)
     if n * max(rounds, 1) > MAX_SHUFFLE_WORK:
         raise ParameterError(f"shuffle sampling capped at N * rounds <= {MAX_SHUFFLE_WORK}")
     rng = random.Random(seed)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator
 
 from .domain import Domain
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_int
 
 PRF_ID = "blake2b-128/v1"
 KEY_BYTES = 32
@@ -52,6 +52,9 @@ BLOCK_BYTES = 16
 
 # Largest value a 4-byte counter/index field can carry.
 _MAX_INDEX = 0xFFFFFFFF
+# Longest key schedule, the round planner's limit in ``bounds``; below _MAX_INDEX,
+# so every round index fits its field.
+MAX_ROUNDS = 1 << 16
 MAX_TWEAK_BYTES = 0xFFFFFFFF
 _DRAW_TABLE_SIZE = 1 << 12
 _WORD, _WIDE = struct.Struct(">Q8x"), struct.Struct(">QQ")  # 8- and 16-byte subkey candidates
@@ -119,8 +122,7 @@ def tweak_digest(key: PrfKey, tweak: bytes = b"") -> TweakDigest:
 
 
 def encode_subkey_draw(counter: int) -> bytes:
-    if not 1 <= counter <= _MAX_INDEX:
-        raise ParameterError(f"subkey draw counter {counter} outside [1, 2**32)")
+    check_int(counter, "subkey draw counter", 1, _MAX_INDEX)
     return b"K" + counter.to_bytes(4, "big")
 
 
@@ -143,8 +145,7 @@ def round_states(key: PrfKey, rounds: int) -> tuple:
 
 
 def encode_round_bit(round_index: int, td: TweakDigest, x_hat: int) -> bytes:
-    if not 1 <= round_index <= _MAX_INDEX:
-        raise ParameterError(f"round index {round_index} outside [1, 2**32)")
+    check_int(round_index, "round index", 1, _MAX_INDEX)
     return round_prefix(round_index) + td.digest + x_hat.to_bytes(16, "big")
 
 
@@ -167,8 +168,7 @@ def sample_uniform(blocks: Iterable[bytes], size: int, count: int) -> tuple[int,
     size * floor(2**w / size) are rejected, which removes modulo bias exactly with
     fewer than 2 draws per element on average.
     """
-    if size < 2:
-        raise DomainError(f"size must be >= 2, got {size}")
+    check_int(size, "size", 2, error=DomainError)
     wide = size > 1 << 63
     limit = ((1 << (128 if wide else 64)) // size) * size
     blocks, out = iter(blocks), []
@@ -199,8 +199,7 @@ def _keyed_blocks(copy, messages: Iterable[bytes]) -> Iterator[bytes]:
 
 def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
-    if rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    check_int(rounds, "rounds", 1)
     # Past the table, ``encode_subkey_draw`` without its per-call range check.
     counters = range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1)
     tail = map(struct.Struct(">cI").pack, itertools.repeat(b"K"), counters)

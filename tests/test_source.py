@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in that module,
-every function and class the library defines is referenced somewhere, and
-every boundary the benchmark's layer tracer rebinds still exists.
+every function and class the library defines is referenced somewhere, every
+integer type test is the one in ``errors.check_int``, and every boundary the
+benchmark's layer tracer rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -19,6 +20,7 @@ import ast
 import importlib
 import types
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -102,6 +104,45 @@ def test_every_definition_is_referenced():
         if name not in used
     ]
     assert dead == []
+
+
+def int_checks(source: str) -> list[str]:
+    """The functions that call ``isinstance(<x>, int)``, or int in a tuple of types."""
+
+    def is_int_check(node) -> bool:
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            return False
+        kinds = node.args[-1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(getattr(kind, "id", None) == "int" for kind in kinds)
+
+    def visit(node, where: str) -> Iterator[str]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+            else:
+                if is_int_check(child):
+                    yield where
+                yield from visit(child, where)
+
+    return list(visit(ast.parse(source), "<module>"))
+
+
+def test_int_checks_are_found():
+    source = (
+        "def check(v):\n    return isinstance(v, int)\n"
+        "def other(v):\n    if isinstance(v, (bytes, int)): pass\n"
+        "    isinstance(v, bytes)\n"
+        "x = [isinstance(y, int) for y in ()]\n"
+    )
+    assert int_checks(source) == ["check", "other", "<module>"]
+
+
+def test_one_integer_type_test():
+    # Every integer check goes through errors.check_int, so its message and
+    # error class cannot drift apart between copies.
+    found = [f"{path.stem}.{where}" for path in LIBRARY for where in int_checks(path.read_text())]
+    assert found == ["errors.check_int"]
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
