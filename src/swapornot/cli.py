@@ -28,7 +28,7 @@ from . import bounds as bounds_mod
 from . import fpe, mixing
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
-from .prf import PrfKey
+from .prf import PrfKey, parse_hex
 
 _MODEL_CHOICES = [m.value for m in bounds_mod.Model]
 
@@ -52,13 +52,6 @@ def int_or_auto(text: str) -> int | None:
 
 def int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
-
-
-def _parse_hex(text: str, what: str) -> bytes:
-    try:
-        return bytes.fromhex(text)
-    except ValueError as exc:
-        raise DomainError(f"{what} is not valid hex: {exc}") from exc
 
 
 def _add_crypt_parser(sub, name: str, doc: str) -> None:
@@ -135,7 +128,7 @@ def _cmd_crypt(args) -> int:
         )
     key = PrfKey.from_hex(args.key)
     spec = fpe.FormatSpec(args.radix, args.length)
-    tweak = _parse_hex(args.tweak, "tweak")
+    tweak = parse_hex(args.tweak, "tweak")
     if rounds is None:
         rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
         print(f"auto rounds: {rounds}", file=sys.stderr)

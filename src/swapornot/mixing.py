@@ -42,12 +42,12 @@ from .cipher import CallableSource, RoundMaterial
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError, check_int
 
-# Work guards, each on the product that sizes what it guards.  An exact round
-# of q cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the
-# support, the compile's coin masks (at most N // 2 pairs) and the step's N
-# translates of N slots per orbit.  Worst admitted at r = 64 on a 2-core host:
-# N=17, q=4, N=38, q=3, N=161, q=2 and N=9, q=6 in 25-35 s at most 110 MB; N=2896,
-# q=1 in 56 s at 27 MB, one translate at a time.  A shuffle keeps N coins per round.
+# Work guards, each on the product that sizes what it guards.  An exact round of q
+# cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the support, the
+# compile's coin masks (at most N // 2 pairs) and the step's N translates of N slots per
+# orbit, held one at a time.  Worst admitted at r = 64 on a 2-core host: N=17, q=4,
+# N=38, q=3, N=161, q=2 and N=9, q=6 in 25-35 s at most 110 MB; q=1 at 27-28 MB in
+# 56 s (N=2896) and 34-40 s (N=2048, XOR).  A shuffle keeps N coins per round.
 MAX_ROUND_WORK = 1 << 24
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_WORK = 1 << 20
@@ -68,6 +68,14 @@ def _check_round_work(domain: Domain, tracked: int) -> None:
 def _slots(packed: bytes, size: int) -> Iterator[int]:
     chunks = map(itemgetter(0), struct.iter_unpack(f"{size}s", packed))
     return map(int.from_bytes, chunks, repeat("little"))
+
+
+def _gray_translates(weights: int, swaps: list[tuple[int, int]]) -> Iterator[int]:
+    """An orbit's XOR translates in Gray order, each the one before with one block swap."""
+    yield weights
+    for shift, low in swaps:  # slot x <-> x ^ j, j = shift // bits; low: the x & j == 0 slots
+        weights = (weights & low) << shift | (weights >> shift) & low
+        yield weights
 
 
 def _stepped_weights(dist: "ProjectedDistribution") -> dict[tuple[int, ...], int]:
@@ -136,10 +144,10 @@ class _Transition(NamedTuple):
     """One round of the projected chain, compiled for one (domain, q)."""
 
     states: tuple[tuple[int, ...], ...]  # the support; a*N + x is representative a + x
-    # moves[a]: (c, ((count, destination representatives), ...)) per translation c.
-    # For every x, a + x moves to b + (x + c), or b ^ (x ^ c) under XOR, in
-    # ``count`` of the ``outcomes`` equally likely (subkey, coins) draws.
-    moves: tuple[tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...], ...]
+    # moves[a][i]: ((count, destination representatives), ...) for translation c = i,
+    # or c = i ^ (i >> 1) under XOR: for every x, a + x moves to b + (x + c), or
+    # b ^ (x ^ c), in ``count`` of the ``outcomes`` equally likely (subkey, coins) draws.
+    moves: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], ...], ...]
     outcomes: int
 
 
@@ -169,6 +177,8 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
         tuple(y ^ x if xor else (y + x) % n for y in rep) for rep in reps for x in range(n)
     )
     index = {tup: i for i, tup in enumerate(states)}
+    # Card 0 stays or moves to k under each subkey k, so every translation occurs.
+    order = [i ^ i >> 1 for i in range(n)] if xor else range(n)
     moves = []
     for tup in reps:
         counts: dict[int, int] = {}
@@ -188,15 +198,10 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
                             new[i] = partners[i]
                 dest = index[tuple(new)]
                 counts[dest] = counts.get(dest, 0) + weight
-        by_translation: dict[int, dict[int, list[int]]] = {}
+        by_c: dict[int, dict[int, list[int]]] = {}  # translation c -> count -> representatives
         for dest, count in counts.items():  # dest = b*N + c, the state b + c
-            by_translation.setdefault(dest % n, {}).setdefault(count, []).append(dest // n)
-        moves.append(
-            tuple(
-                (c, tuple((count, tuple(bs)) for count, bs in groups.items()))
-                for c, groups in by_translation.items()
-            )
-        )
+            by_c.setdefault(dest % n, {}).setdefault(count, []).append(dest // n)
+        moves.append(tuple(tuple((w, tuple(bs)) for w, bs in by_c[c].items()) for c in order))
     return _Transition(states, tuple(moves), n * all_coins)
 
 
@@ -207,7 +212,7 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     each wide enough for the new denominator so no sum carries; a stepped input's
     slots are widened in place.  Orbit a's N slots are one int, a + x in slot x.
     Moves translate the whole orbit one c at a time: a shift of c slots into a 2N-slot
-    sum folded once per round, or under XOR one of N translates built by block swaps.
+    sum folded once per round, or under XOR the last translate with one block swap.
     """
     t = _transition(dist.domain, dist.tracked)
     n, xor = dist.domain.size, dist.domain.law is GroupLaw.XOR
@@ -223,18 +228,17 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
             pad = bytes(size - old)
             packed = pad.join(map(itemgetter(0), struct.iter_unpack(f"{old}s", packed))) + pad
     one, full = (1 << bits) - 1, (1 << n * bits) - 1
-    blocks = [1 << i for i in range(n.bit_length() - 1)] if xor else []
-    swaps = [(j * bits, sum(one << x * bits for x in range(n) if not x & j)) for j in blocks]
+    blocks = [i & -i for i in range(1, n)] if xor else []  # translate i swaps i & -i slots
+    lows = {j: sum(one << x * bits for x in range(n) if not x & j) for j in set(blocks)}
+    swaps = [(j * bits, lows[j]) for j in blocks]
     out = [0] * len(t.moves)
     for a, moves in enumerate(t.moves):
         weights = int.from_bytes(packed[a * orbit : (a + 1) * orbit], "little")
         if not weights:
             continue
-        moved = [weights]
-        for shift, low in swaps:  # moved[c + j] is moved[c] with j-slot blocks swapped
-            moved += [(w & low) << shift | (w >> shift) & low for w in moved]
-        for c, groups in moves:
-            translate = moved[c] if xor else weights << c * bits
+        translates = _gray_translates(weights, swaps) if xor else None
+        for c, groups in enumerate(moves):
+            translate = next(translates) if xor else weights << c * bits
             for count, dests in groups:
                 share = count * translate
                 for b in dests:

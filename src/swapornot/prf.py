@@ -84,11 +84,7 @@ class PrfKey:
 
     @classmethod
     def from_hex(cls, hex_string: str) -> "PrfKey":
-        try:
-            raw = bytes.fromhex(hex_string)
-        except ValueError as exc:
-            raise DomainError(f"key is not valid hex: {exc}") from exc
-        return cls(raw)
+        return cls(parse_hex(hex_string, "key"))
 
     def block(self, message: bytes) -> bytes:
         """The 16-byte PRF output for a message."""
@@ -106,6 +102,13 @@ class TweakDigest:
     def __post_init__(self) -> None:
         if not isinstance(self.digest, bytes) or len(self.digest) != BLOCK_BYTES:
             raise DomainError(f"tweak digest must be exactly {BLOCK_BYTES} bytes")
+
+
+def parse_hex(text: str, what: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise DomainError(f"{what} is not valid hex: {exc}") from exc
 
 
 def check_tweak(tweak: bytes) -> None:
@@ -199,7 +202,7 @@ def _keyed_blocks(copy, messages: Iterable[bytes]) -> Iterator[bytes]:
 
 def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
-    check_int(rounds, "rounds", 1)
+    check_int(rounds, "rounds", 1, MAX_ROUNDS)
     # Past the table, ``encode_subkey_draw`` without its per-call range check.
     counters = range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1)
     tail = map(struct.Struct(">cI").pack, itertools.repeat(b"K"), counters)

@@ -119,6 +119,18 @@ def test_encrypt_auto_rounds_default_budget_fails(capsys):
             assert "--queries" in err and "--rounds" in err and "1/(8N)" in err
 
 
+def test_bad_hex_key_and_tweak_share_one_message(capsys):
+    base = ("--radix", "10", "--length", "3", "--rounds", "10", "123")
+    cases = [(("--key", "zz"), "key", 0), (("--key", KEY, "--tweak", "0g"), "tweak", 1)]
+    for flags, what, at in cases:
+        code, out, err = run(capsys, "encrypt", *flags, *base)
+        assert code == 2 and out == ""
+        assert err == (
+            f"swapornot encrypt: {what} is not valid hex: "
+            f"non-hexadecimal number found in fromhex() arg at position {at}\n"
+        )
+
+
 def test_encrypt_xor_flag(capsys):
     base = ("--key", KEY, "--radix", "16", "--length", "4", "--rounds", "10", "--xor")
     code, out, _ = run(capsys, "encrypt", *base, "00ff")

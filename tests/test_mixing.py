@@ -337,6 +337,30 @@ def test_stepped_distribution_and_its_dict_built_twin(domain, q, rounds, minimal
             assert dist != twin and dist.denominator > twin.denominator
 
 
+@pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
+def test_compiled_orbits_list_every_translation(law):
+    # ``step`` pairs each orbit's moves with its N translates in order: c = i,
+    # or the Gray code c = i ^ (i >> 1) under XOR.  Every translation occurs,
+    # and for N <= 8 each orbit's moves are its representative's exact round.
+    sizes = [n for n in range(2, 17) if law is GroupLaw.MOD_ADD or n & (n - 1) == 0]
+    for n, q in itertools.product(sizes, range(1, 4)):
+        if q > n:
+            continue
+        t = mixing._transition(Domain(n, law), q)
+        order = [i ^ i >> 1 if law is GroupLaw.XOR else i for i in range(n)]
+        for a, moves in enumerate(t.moves):
+            assert len(moves) == n and all(moves)
+            if n > 8:
+                continue
+            got: dict = {}
+            for c, groups in zip(order, moves):
+                for count, dests in groups:
+                    for b in dests:
+                        dest = t.states[b * n + c]
+                        got[dest] = got.get(dest, 0) + Fraction(count, t.outcomes)
+            assert got == reference_shuffle_step(n, law.value, {t.states[a * n]: 1})
+
+
 @pytest.mark.parametrize("rounds_before", [0, 1, 2])
 def test_step_checks_the_packed_sum(monkeypatch, rounds_before):
     # Dropping one move group loses probability; the step's sum check sees it
@@ -399,11 +423,13 @@ def test_one_card_closed_form(n, law, rounds):
 
 def test_one_card_step_holds_one_translate_at_a_time():
     # At q=1 the one orbit is N slots wide; holding all N of its translates at
-    # once peaks near 90 MiB at this size, one translate at a time under 1 MiB.
-    tracemalloc.start()
-    try:
-        exact_tvd_after(Domain(2896), 4, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
+    # once peaks near 90 MiB (mod-add, N=2896) and 30 MiB (XOR, N=2048) at these
+    # sizes, one translate at a time under 1 MiB.
+    for domain in (Domain(2896), Domain(2048, GroupLaw.XOR)):
+        tracemalloc.start()
+        try:
+            exact_tvd_after(domain, 4, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, domain

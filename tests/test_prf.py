@@ -193,12 +193,24 @@ def _five_sigma_counts(counts, probabilities, draws):
     return worst
 
 
+def _subkey_samples(n, draws):
+    """The first ``draws`` subkeys of ``KEY`` on [0, n), past ``derive_subkeys``'s round cap."""
+    return sample_uniform(map(KEY.block, map(encode_subkey_draw, itertools.count(1))), n, draws)
+
+
+def test_derive_subkeys_caps_rounds_at_max_rounds():
+    # The longest schedule draws past the cached message table, which keeps its fixed size.
+    subkeys = derive_subkeys(KEY, Domain(10), prf.MAX_ROUNDS)
+    assert len(prf._draw_table()) <= prf._DRAW_TABLE_SIZE
+    assert subkeys == _subkey_samples(10, prf.MAX_ROUNDS)
+    with pytest.raises(ParameterError, match=r"^rounds must be in \[1, 65536\], got 65537$"):
+        derive_subkeys(KEY, Domain(10), prf.MAX_ROUNDS + 1)
+
+
 @pytest.mark.parametrize("n", [10, 26])
 def test_subkey_uniformity_small_domains(n):
     draws = 10**6
-    samples = derive_subkeys(KEY, Domain(n), draws)
-    # A million draws leave the cached message table at its fixed size.
-    assert len(prf._draw_table()) <= prf._DRAW_TABLE_SIZE
+    samples = _subkey_samples(n, draws)
     counts = [0] * n
     for s in samples:
         counts[s] += 1
@@ -215,7 +227,7 @@ def test_subkey_uniformity_large_domain_binned():
     n = 10**9 + 7
     draws = 10**6
     bins = 64
-    samples = derive_subkeys(KEY, Domain(n), draws)
+    samples = _subkey_samples(n, draws)
     counts = [0] * bins
     for s in samples:
         counts[s * bins // n] += 1
