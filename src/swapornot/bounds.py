@@ -8,7 +8,9 @@ evaluation gives the same doubles as mpmath at about four times the cost.
 The arithmetic runs in a private mpmath context fixed at ``PRECISION_DPS``
 digits, never in mpmath's process-global ``mp``, so other mpmath users and
 other threads cannot change a result.  The context, and mpmath with it, is
-loaded on the first evaluation, not on import.
+loaded on the first evaluation, not on import.  The ncpa terms that depend
+only on (N, q) or only on the round count are memoized apart, and combined in
+the same order on every call, so a memo hit returns the same float.
 
 Models:
 
@@ -97,9 +99,16 @@ def _ncpa_terms(ctx, n: int, q: int):
     return ctx.log(2) + ctx.mpf(3) / 2 * ctx.log(n), _ln_base(ctx, n, q)
 
 
+@functools.lru_cache(maxsize=256)
+def _round_terms(ctx, rounds: int):
+    # The (N, q)-independent terms of _ln_ncpa: ln(r + 2) and the exponent r/2 + 1.
+    return ctx.log(rounds + 2), ctx.mpf(rounds) / 2 + 1
+
+
 def _ln_ncpa(ctx, n: int, rounds: int, q: int):
     head, ln_base = _ncpa_terms(ctx, n, q)
-    return head - ctx.log(rounds + 2) + (ctx.mpf(rounds) / 2 + 1) * ln_base
+    ln_rounds, exponent = _round_terms(ctx, rounds)
+    return head - ln_rounds + exponent * ln_base
 
 
 def _ln_cca(ctx, n: int, rounds: int, q: int):

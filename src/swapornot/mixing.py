@@ -21,7 +21,8 @@ XOR), so only one state per orbit of N translates is compiled, and a step
 moves each orbit as one packed integer.  A distribution is integer weights
 over one denominator, the start's times (N * 2^q)^r after r rounds, held after
 a step as orbit-packed slots, widened in place as the denominator outgrows them.
-``weights`` and ``probs`` are views built on first use; the TVD reads the slots.
+``weights`` and ``probs`` are views built on first use; the TVD reads the packed
+slots as one int, flagging and summing those above D // S in whole-int operations.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def _check_round_work(domain: Domain, tracked: int) -> None:
         )
 
 
-def _slots(packed: bytes, size: int) -> Iterator[int]:
-    chunks = map(itemgetter(0), struct.iter_unpack(f"{size}s", packed))
-    return map(int.from_bytes, chunks, repeat("little"))
-
-
 def _gray_translates(weights: int, swaps: list[tuple[int, int]]) -> Iterator[int]:
     """An orbit's XOR translates in Gray order, each the one before with one block swap."""
     yield weights
@@ -78,9 +74,33 @@ def _gray_translates(weights: int, swaps: list[tuple[int, int]]) -> Iterator[int
         yield weights
 
 
+def _above_floor(packed: bytes, size: int, floor: int) -> tuple[int, int]:
+    """The count and the sum of the slots above ``floor``, in whole-int operations.
+
+    Even and odd slots go into lanes of twice the slot width, so adding
+    2^bits - 1 - floor to a lane carries into its bit ``bits`` exactly when its
+    slot is above floor.  The slots sum to D < 2^bits, so the flagged lanes fold
+    in halves to one lane with no carry between lanes.
+    """
+    bits, width = 8 * size, 16 * size
+    one = (1 << bits) - 1
+    unit = int.from_bytes((b"\x01" + bytes(2 * size - 1)) * -(-len(packed) // (2 * size)), "little")
+    low, carry, lift = unit * one, unit << bits, unit * (one - floor)
+    slots = int.from_bytes(packed, "little")
+    even, odd = slots & low, slots >> bits & low
+    flags_even, flags_odd = (even + lift) & carry, (odd + lift) & carry
+    count = flags_even.bit_count() + flags_odd.bit_count()
+    total = (even & flags_even - (flags_even >> bits)) + (odd & flags_odd - (flags_odd >> bits))
+    while (k := -(-total.bit_length() // width)) > 1:
+        half = k // 2 * width
+        total = (total >> half) + (total & (1 << half) - 1)
+    return count, total
+
+
 def _stepped_weights(dist: "ProjectedDistribution") -> dict[tuple[int, ...], int]:
-    states = _transition(dist.domain, dist.tracked).states
-    return dict(filter(itemgetter(1), zip(states, _slots(*dist._packed))))
+    states, (packed, size) = _transition(dist.domain, dist.tracked).states, dist._packed
+    chunks = map(itemgetter(0), struct.iter_unpack(f"{size}s", packed))
+    return dict(filter(itemgetter(1), zip(states, map(int.from_bytes, chunks, repeat("little")))))
 
 
 @dataclass(frozen=True, init=False)
@@ -229,7 +249,10 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
             packed = pad.join(map(itemgetter(0), struct.iter_unpack(f"{old}s", packed))) + pad
     one, full = (1 << bits) - 1, (1 << n * bits) - 1
     blocks = [i & -i for i in range(1, n)] if xor else []  # translate i swaps i & -i slots
-    lows = {j: sum(one << x * bits for x in range(n) if not x & j) for j in set(blocks)}
+    lows = {
+        j: int.from_bytes((b"\xff" * (j * size) + bytes(j * size)) * (n // (2 * j)), "little")
+        for j in set(blocks)
+    }
     swaps = [(j * bits, lows[j]) for j in blocks]
     out = [0] * len(t.moves)
     for a, moves in enumerate(t.moves):
@@ -258,12 +281,16 @@ def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     With weights w over denominator D and support size S, the distance is
     sum(|w*S - D|) / (2*D*S), unreached states counting w = 0.  The weights sum
     to D, so that sum is 2*(S*A - a*D) for the a weights above D // S, summing to A.
+    A stepped input's a and A come from its packed slots, with no per-state loop.
     """
     s, d = dist.support_size(), dist.denominator
     floor = d // s
-    values = dist.weights.values() if dist._packed is None else _slots(*dist._packed)
-    above = [w for w in values if w > floor]
-    return Fraction(s * sum(above) - len(above) * d, d * s)
+    if dist._packed is None:
+        above = [w for w in dist.weights.values() if w > floor]
+        count, total = len(above), sum(above)
+    else:
+        count, total = _above_floor(*dist._packed, floor)
+    return Fraction(s * total - count * d, d * s)
 
 
 def exact_tvd_after(

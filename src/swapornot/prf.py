@@ -165,13 +165,15 @@ def sample_uniform(blocks: Iterable[bytes], size: int, count: int) -> tuple[int,
 
     ``blocks`` yields the exactly 16-byte blocks of draw counters 1, 2, ... in
     order.  It is read in chunks of the elements still needed, never past the last
-    accepted block, and a stream that ends first raises ``ParameterError``.  One
+    accepted block, and a stream that ends first raises ``ParameterError``, as does
+    a ``count`` that is not an int; an int count <= 0 reads nothing.  One
     ``struct`` call decodes a chunk's candidates: a block's first 8 bytes
     (big-endian) when size <= 2**63, all 16 otherwise.  Candidates at or above
     size * floor(2**w / size) are rejected, which removes modulo bias exactly with
     fewer than 2 draws per element on average.
     """
     check_int(size, "size", 2, error=DomainError)
+    check_int(count, "count", None)
     wide = size > 1 << 63
     limit = ((1 << (128 if wide else 64)) // size) * size
     blocks, out = iter(blocks), []

@@ -311,6 +311,27 @@ def test_bounds_exponentiate_as_the_power_of_e():
     assert points > 20_000
 
 
+def test_round_term_memo_is_bit_identical():
+    # _ln_ncpa reads ln(r + 2) and r/2 + 1 from a per-round memo; the whole
+    # expression written out in the same context and order is the oracle.
+    ctx = bounds._context()
+
+    def ln_ncpa(n, r, q):
+        head = ctx.log(2) + ctx.mpf(3) / 2 * ctx.log(n)
+        return head - ctx.log(r + 2) + (ctx.mpf(r) / 2 + 1) * (ctx.log(q + n) - ctx.log(2 * n))
+
+    def clamped(ln_value):
+        return 1.0 if ln_value >= 0 else float(ctx.exp(ln_value))
+
+    for n, q in [(12, 3), (2**30, 10**8), (36**12, 10**12), (1000, 999)]:
+        for r in range(1, 201):
+            assert ncpa_bound(n, r, q) == clamped(ln_ncpa(n, r, q))
+            if r % 2 == 0:
+                assert cca_bound(n, r, q) == clamped(ctx.log(2) + ln_ncpa(n, r // 2, q))
+                assert cca_tweak_bound(n, r, q) == clamped(ctx.log(4) + ln_ncpa(n, r // 2, q) / 2)
+    assert min_rounds(36**12, 10**12, 1e-10, Model.CCA) == 478
+
+
 def test_bounds_ignore_global_mpmath_precision(monkeypatch):
     # The bounds keep their 60 digits while another thread lowers mpmath's
     # global precision in the middle of an evaluation, and concurrent calls

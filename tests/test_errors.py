@@ -59,6 +59,7 @@ ENTRY_POINTS = [
     ("encode_subkey_draw", ParameterError, lambda v: prf.encode_subkey_draw(v)),
     ("encode_round_bit", ParameterError, lambda v: prf.encode_round_bit(v, TD, 0)),
     ("sample_uniform-size", DomainError, lambda v: prf.sample_uniform(iter(()), v, 1)),
+    ("sample_uniform-count", ParameterError, lambda v: prf.sample_uniform(iter(()), 10, v)),
     ("ProjectedDistribution-tracked", ParameterError,
      lambda v: ProjectedDistribution(Domain(4), v, {})),
     ("ProjectedDistribution.stationary", ParameterError,
@@ -92,6 +93,9 @@ def test_non_integers_raise_the_library_error(expected, call, bad):
 def test_check_int_messages():
     check_int(3, "n", 3, 3)
     check_int(10**40, "n", 3)
+    check_int(-(10**40), "n", None)  # no lower bound: the type alone is checked
+    with pytest.raises(ParameterError, match=r"^n must be an integer, got '3'$"):
+        check_int("3", "n", None)
     with pytest.raises(ParameterError, match=r"^n must be an integer, got 3\.0$"):
         check_int(3.0, "n", 0)
     with pytest.raises(DomainError, match=r"^n must be in \[0, 4\], got 5$"):

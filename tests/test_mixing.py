@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapornot import (
     Domain,
@@ -313,6 +315,45 @@ def test_bound_dominates_beyond_the_sweep(law):
     for r in range(1, 17):
         dist = step(dist)
         assert tvd_to_stationary(dist) <= ncpa_bound(16, r, 4)
+
+
+@pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
+def test_packed_tvd_equals_the_fraction_sum(law):
+    # The packed TVD flags and sums slots in whole-int operations; the oracle sums
+    # |p - 1/S| / 2 over every state.  It covers odd slot counts and denominators
+    # that fill their slots: N=3, q=1, r=3 is 216 in one byte, XOR N=4, q=1, r=5
+    # is 2^15 in two.
+    filled, full = set(), (3, 1, 3) if law is GroupLaw.MOD_ADD else (4, 1, 5)
+    for n in range(2, 9):
+        if law is GroupLaw.XOR and n & (n - 1):
+            continue
+        for q in range(1, min(3, n) + 1):
+            dist = ProjectedDistribution.point_mass(Domain(n, law), tuple(range(q)))
+            states = list(itertools.permutations(range(n), q))
+            for r in range(1, 13):
+                dist = step(dist)
+                tvd = tvd_to_stationary(dist)
+                assert "weights" not in vars(dist) and "probs" not in vars(dist)
+                if dist.denominator.bit_length() == 8 * dist._packed[1]:
+                    filled.add((n, q, r))
+                uniform = Fraction(1, len(states))
+                assert tvd == sum(abs(dist.probs.get(t, 0) - uniform) for t in states) / 2
+    assert full in filled
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_above_floor_counts_and_sums_the_slots_over_it(data):
+    # Any slots whose sum fits one slot (so a lone slot may hold 2^bits - 1),
+    # against a floor from 0 to that sum.
+    size = data.draw(st.integers(1, 3))
+    total = data.draw(st.integers(0, (1 << 8 * size) - 1))
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=0, max_size=8)))
+    slots = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    floor = data.draw(st.integers(0, total))
+    packed = b"".join(w.to_bytes(size, "little") for w in slots)
+    above = [w for w in slots if w > floor]
+    assert mixing._above_floor(packed, size, floor) == (len(above), sum(above))
 
 
 @pytest.mark.parametrize(
