@@ -1,37 +1,31 @@
 """Provable-security advantage bounds and round-count planning.
 
-All bounds share the shape  prefactor(N, R) * ((q + N) / 2N)^exponent(R)
-and are evaluated in log space with 60-digit arithmetic before clamping to
-[0, 1].  Doubles with log1p plan the same round counts but move most bounds
-in their last bits, by up to about 2e-12 relative; a 60-digit ``decimal``
-evaluation gives the same doubles as mpmath at about four times the cost.
-The arithmetic runs in a private mpmath context fixed at ``PRECISION_DPS``
-digits, never in mpmath's process-global ``mp``, so other mpmath users and
-other threads cannot change a result.  The context, and mpmath with it, is
-loaded on the first evaluation, not on import.  The ncpa terms that depend
-only on (N, q) or only on the round count are memoized apart, and combined in
-the same order on every call, so a memo hit returns the same float.
+Models, with the power k that makes each bound a ratio of integer powers:
 
-Models:
-
-* ``ncpa``        - nonadaptive chosen-plaintext adversaries, r >= 1 rounds:
+* ``ncpa``        - nonadaptive chosen-plaintext adversaries, r >= 1 rounds, k = 2:
                     min(1, (2 N^{3/2} / (r+2)) * ((q+N)/2N)^{r/2+1})
-* ``cca``         - adaptive chosen-ciphertext adversaries, even R rounds:
+* ``cca``         - adaptive chosen-ciphertext adversaries, even R rounds, k = 2:
                     min(1, (8 N^{3/2} / (R+4)) * ((q+N)/2N)^{R/4+1}),
                     which is exactly twice the ncpa bound at R/2 rounds
 * ``ncpa-tweak``  - tweakable variant; same expression as ``ncpa``
-* ``cca-tweak``   - tweakable CCA, even R:
+* ``cca-tweak``   - tweakable CCA, even R, k = 4:
                     min(1, (8 N^{3/4} / sqrt(R+4)) * ((q+N)/2N)^{(R+4)/8}),
                     equal to 4 * sqrt(ncpa bound at R/2 rounds)
 * ``thorp``       - comparison curve for the Thorp shuffle at r passes over
-                    N = 2^n points: min(1, (2q/r + 1) * (4nq/N)^r)
+                    N = 2^n points, k = 1: min(1, (2q/r + 1) * (4nq/N)^r)
 
-Each model is one row of a single table: its log-space bound, the step its
-round counts come in (2 for the CCA models, which are stated for even R),
-the smallest query budget it is stated for, whether it needs N to be a
-power of two, and whether q is capped at N (all but Thorp).  One validator
-reads that row, so the bound functions, ``BoundQuery`` and the ``min_rounds``
-planner accept the same inputs, except that planning always needs q >= 1.
+The bounds are exact.  Each power in bound^k is cut to a number of mantissa
+bits, with the cuts counted, so bound^k lies in a known interval; the bits
+double until the interval settles the answer (Ziv's strategy).  For a bound
+that is the correctly rounded double of the clamped k-th root, subnormals
+included; for the planner, the comparison with target^k.  A power that fits
+in the bits is exact, as every ratio of the small-deck sweep is.
+
+Each model is one row of a table: its factors and k, the step of its round
+counts (2 for the CCA models, stated for even R), its least query budget,
+and whether N must be a power of two and q at most N.  One validator reads
+the row, so the bounds, ``BoundQuery`` and ``min_rounds`` accept the same
+inputs, except that planning always needs q >= 1.
 
 As a rule of thumb the non-Thorp bounds only become nontrivial once the
 round count passes roughly 6*lg(N) (for q a constant fraction of N), and
@@ -44,24 +38,13 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
 from .errors import ParameterError, RoundCapExceeded, check_int
 from .prf import MAX_ROUNDS as ROUND_CAP
-
-# Significant decimal digits for internal evaluation.
-PRECISION_DPS = 60
-
-
-@functools.cache
-def _context():
-    from mpmath import MPContext
-
-    ctx = MPContext()
-    ctx.dps = PRECISION_DPS
-    return ctx
 
 
 class Model(Enum):
@@ -88,46 +71,20 @@ class BoundQuery:
         return _bound(self.model, self.domain_size, self.rounds, self.queries)
 
 
-def _ln_base(ctx, n: int, q: int):
-    # ln((q + N) / 2N); <= 0 whenever q <= N.
-    return ctx.log(q + n) - ctx.log(2 * n)
+def _ncpa_factors(n: int, rounds: int, q: int, scale: int = 4):
+    # scale N^3 / (r+2)^2 * ((q + N) / 2N)^(r+2), which is ncpa^2 at scale 4.
+    e, g = rounds + 2, math.gcd(q + n, 2 * n)
+    return (scale * n**3, e * e, 1), ((q + n) // g, 2 * n // g, e)
 
 
-@functools.lru_cache(maxsize=256)
-def _ncpa_terms(ctx, n: int, q: int):
-    # The round-independent terms of _ln_ncpa: ln(2 N^{3/2}) and ln((q + N) / 2N).
-    return ctx.log(2) + ctx.mpf(3) / 2 * ctx.log(n), _ln_base(ctx, n, q)
-
-
-@functools.lru_cache(maxsize=256)
-def _round_terms(ctx, rounds: int):
-    # The (N, q)-independent terms of _ln_ncpa: ln(r + 2) and the exponent r/2 + 1.
-    return ctx.log(rounds + 2), ctx.mpf(rounds) / 2 + 1
-
-
-def _ln_ncpa(ctx, n: int, rounds: int, q: int):
-    head, ln_base = _ncpa_terms(ctx, n, q)
-    ln_rounds, exponent = _round_terms(ctx, rounds)
-    return head - ln_rounds + exponent * ln_base
-
-
-def _ln_cca(ctx, n: int, rounds: int, q: int):
-    return ctx.log(2) + _ln_ncpa(ctx, n, rounds // 2, q)
-
-
-def _ln_cca_tweak(ctx, n: int, rounds: int, q: int):
-    return ctx.log(4) + _ln_ncpa(ctx, n, rounds // 2, q) / 2
-
-
-def _ln_thorp(ctx, n: int, passes: int, q: int):
+def _thorp_factors(n: int, passes: int, q: int):
     lg_n = n.bit_length() - 1
-    if q == 0:
-        return ctx.ninf
-    return ctx.log(ctx.mpf(2 * q) / passes + 1) + passes * (ctx.log(4 * lg_n * q) - ctx.log(n))
+    return (2 * q + passes, passes, 1), (4 * lg_n * q, n, passes)
 
 
 class _ModelRow(NamedTuple):
-    ln: Callable  # ln of the unclamped bound at (context, N, rounds, q)
+    factors: Callable  # (a, b, e) triples: prod (a/b)^e is bound^root at (N, rounds // step, q)
+    root: int  # k: the bound is the k-th root of that product
     step: int  # round counts are positive multiples of this
     min_q: int  # smallest query budget the bound is stated for
     pow2: bool  # N must be a power of two
@@ -135,11 +92,12 @@ class _ModelRow(NamedTuple):
 
 
 _MODELS = {
-    Model.NCPA: _ModelRow(_ln_ncpa, 1, 1, False, True),
-    Model.NCPA_TWEAK: _ModelRow(_ln_ncpa, 1, 1, False, True),
-    Model.CCA: _ModelRow(_ln_cca, 2, 1, False, True),
-    Model.CCA_TWEAK: _ModelRow(_ln_cca_tweak, 2, 1, False, True),
-    Model.THORP: _ModelRow(_ln_thorp, 1, 0, True, False),
+    Model.NCPA: _ModelRow(_ncpa_factors, 2, 1, 1, False, True),
+    Model.NCPA_TWEAK: _ModelRow(_ncpa_factors, 2, 1, 1, False, True),
+    # The CCA models are twice, and 4 times the square root of, ncpa at R/2 rounds.
+    Model.CCA: _ModelRow(functools.partial(_ncpa_factors, scale=16), 2, 2, 1, False, True),
+    Model.CCA_TWEAK: _ModelRow(functools.partial(_ncpa_factors, scale=1024), 4, 2, 1, False, True),
+    Model.THORP: _ModelRow(_thorp_factors, 1, 1, 0, True, False),
 }
 
 
@@ -164,10 +122,91 @@ def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
     return row
 
 
+def _power(a: int, b: int, exp: int, bits: int) -> tuple[int, int, int, int]:
+    """(a / b)^exp as (num, den, shift, cuts): num / den * 2^shift, low by at most ``cuts`` cuts.
+
+    It is exact if exp is 1, or if a^exp and b^exp fit in ``bits`` bits once
+    their factors of 2 go to ``shift``.  Otherwise m, the power so far, is cut
+    back to ``bits`` bits after each squaring step.  A cut lowers m by under
+    2^(1-bits) of it, and raising m to a power multiplies its cuts.
+    """
+    if exp == 1 or not a:
+        return a, b, 0, 0
+    za, zb = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+    a, b, shift = a >> za, b >> zb, (za - zb) * exp
+    if max(a, b).bit_length() * exp <= bits:
+        return a**exp, b**exp, shift, 0
+    # a / b as a fixed-point base of ``bits`` bits: one cut, raised to the exp-th power.
+    lift = bits + b.bit_length() - a.bit_length() if b > 1 else 0
+    base = (a << lift) // b if lift >= 0 else a // (b << -lift)
+    m, s, c = 1, 0, 0
+    for digit in bin(exp)[2:]:
+        m *= m
+        if digit == "1":
+            m *= base
+        cut, s, c = m.bit_length() - bits, 2 * s, 2 * c
+        if cut > 0:
+            m, s, c = m >> cut, s + cut, c + 1
+    return m, 1, shift + s - lift * exp, c + (b > 1) * exp
+
+
+def _settle(factors, judge, *args):
+    """judge(num, den, shift, *args), monotone in num / den * 2^shift, of the factors' product.
+
+    Each pass, at 128, 256, ... bits per power, brackets the product by two
+    such ratios; the answer stands once judge gives both the same.
+    """
+    bits = 128
+    while True:
+        num = den = 1
+        shift = cuts = 0
+        for a, b, exp in factors:
+            pn, pd, ps, pc = _power(a, b, exp, bits)
+            num, den, shift, cuts = num * pn, den * pd, shift + ps, cuts + pc
+        answer = judge(num, den, shift, *args)
+        # The product is at most (1 + 2^(1-bits))^cuts <= 1 + cuts / unit times
+        # the ratio; a False at that low end already holds for the product.
+        unit = 1 << bits - 2
+        if not cuts or answer is False or (
+            cuts < unit and answer == judge(num * (unit + cuts), den * unit, shift, *args)
+        ):
+            return answer
+        bits *= 2
+
+
+def _nearest_root(num: int, den: int, shift: int, k: int) -> float:
+    """min(1, x) to the nearest double, for x = (num / den * 2^shift)^(1/k).
+
+    m = floor(x * 2^t) has at least 54 bits, or t >= 1075 below 2^-1022, so
+    every double near x, and every midpoint between two, is a multiple of
+    2^-t.  (2m + sticky) / 2^(t+1) is then x, or lies strictly between the
+    same two of those as x, and CPython rounds int / int correctly.
+    """
+    top = num.bit_length() - den.bit_length() + shift  # 2^(top-1) < x^k < 2^(top+1)
+    if not num or top < -1075 * k:
+        return 0.0
+    if top > 1:
+        return 1.0
+    t = min(53 - (top - 1) // k, 1076)
+    lift = shift + k * t
+    num, den = (num << lift, den) if lift > 0 else (num, den << -lift)
+    whole, rest = divmod(num, den)
+    m = whole if k == 1 else math.isqrt(whole) if k == 2 else math.isqrt(math.isqrt(whole))
+    return min(1.0, (2 * m + (rest > 0 or m**k != whole)) / (2 << t))
+
+
+def _at_most(num: int, den: int, shift: int, a: int, b: int) -> bool:
+    """Whether num / den * 2^shift <= a / b, all positive."""
+    num, den = num * b, den * a
+    top = num.bit_length() - den.bit_length() + shift  # as in _nearest_root
+    if top < 0 or top > 1:
+        return top < 0
+    return num << max(shift, 0) <= den << max(-shift, 0)
+
+
 def _bound(model: Model, n: int, rounds: int, q: int) -> float:
-    row, ctx = _checked(model, n, q, rounds), _context()
-    ln_value = row.ln(ctx, n, rounds, q)
-    return 1.0 if ln_value >= 0 else float(ctx.exp(ln_value))
+    row = _checked(model, n, q, rounds)
+    return _settle(row.factors(n, rounds // row.step, q), _nearest_root, row.root)
 
 
 def ncpa_bound(domain_size: int, rounds: int, queries: int) -> float:
@@ -225,11 +264,12 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
 
 @functools.lru_cache(maxsize=256)
 def _search_rounds(domain_size: int, queries: int, target: float, model: Model) -> int:
-    row, ctx = _MODELS[model], _context()
-    ln_target = ctx.log(target)
+    row = _MODELS[model]
+    # bound <= target exactly: bound^k <= target^k, both as integer ratios.
+    a, b = (part**row.root for part in target.as_integer_ratio())
 
     def meets(rounds: int) -> bool:
-        return row.ln(ctx, domain_size, rounds, queries) <= ln_target
+        return _settle(row.factors(domain_size, rounds // row.step, queries), _at_most, a, b)
 
     # The bound falls as rounds grow, so an unreachable target shows at the
     # largest allowed count: one evaluation instead of a search.

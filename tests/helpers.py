@@ -1,7 +1,7 @@
 """Independent oracles shared by the test suite.
 
 The bound oracle uses the stdlib ``decimal`` module at 60 significant
-digits, a different library and code path from the package's mpmath
+digits in log space, a different code path from the package's exact integer
 evaluation.  The reference cipher materializes each round as an explicit
 permutation table and composes them, instead of tracing a single element
 through the loop.  The projected-shuffle oracle shuffles the whole deck,

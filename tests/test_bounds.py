@@ -1,9 +1,11 @@
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -228,20 +230,146 @@ def test_min_rounds_cap_exceeded():
         min_rounds(10**9, 10**9 - 1, 1e-10, Model.CCA)
 
 
+def _dyadic_ncpa_points():
+    # (N, q, r) with N a power of 4 whose ncpa bound is a double below 1:
+    # bound^2 = num / den has a power-of-two denominator and a square
+    # numerator whose root fits in 53 bits.
+    for n in (4, 16, 64, 256, 1024):
+        for q in range(1, n + 1):
+            for r in range(1, 64):
+                num, den = 4 * n**3 * (q + n) ** (r + 2), (r + 2) ** 2 * (2 * n) ** (r + 2)
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                root = math.isqrt(num)
+                odd = root >> (root & -root).bit_length() - 1
+                if num < den and root * root == num and not den & (den - 1) and odd < 2**53:
+                    yield n, q, r, root / math.isqrt(den)
+
+
+def test_min_rounds_is_minimal_at_exact_ties():
+    # The target is the bound itself, exactly: r meets it, and r - 1 does not.
+    points = list(_dyadic_ncpa_points())
+    assert len(points) == 100
+    for n, q, r, bound in points:
+        assert ncpa_bound(n, r, q) == bound
+        assert min_rounds(n, q, bound, Model.NCPA) == r
+        assert r == 1 or ncpa_bound(n, r - 1, q) > bound
+    assert min_rounds(4, 2, 0.6328125, Model.NCPA) == 6
+
+
+def _subnormal_thorp_points():
+    # Thorp bounds in [2^-1076, 2^-1022) as exact ratios num / den.
+    for lg in range(4, 128):
+        for q in range(1, 32):
+            per_pass = math.log2(4 * lg * q) - lg
+            if per_pass >= -1:
+                continue
+            for p in range(max(1, int(-1022 / per_pass) - 2), int(-1077 / per_pass) + 3):
+                num, den = (2 * q + p) * (4 * lg * q) ** p, p << lg * p
+                if den >> 1076 <= num < den >> 1022:
+                    yield 2**lg, p, q, num, den
+
+
+def test_subnormal_bounds_are_correctly_rounded():
+    # CPython rounds int / int correctly, subnormals included, so p / d is
+    # the oracle.  The 60-digit mpmath evaluation rounded these twice.
+    points = list(_subnormal_thorp_points())
+    assert len(points) > 5000
+    assert [(n, p, q) for n, p, q, num, den in points if thorp_bound(n, p, q) != num / den] == []
+    assert thorp_bound(2**26, 62, 7) == 1.906401670326656e-308
+    assert {num / den for *_, num, den in points} >= {0.0, 5e-324}
+
+
+def _rounds_to(value: float, x: Fraction, k: int) -> bool:
+    # value is the double nearest x^(1/k): x^(1/k) lies between the midpoints
+    # to value's neighbours, and a tie goes to the even mantissa.
+    below, above = math.nextafter(value, 0), math.nextafter(value, 2)
+    low, high = ((Fraction(value) + Fraction(side)) / 2 for side in (below, above))
+    even = not struct.unpack("<q", struct.pack("<d", value))[0] & 1
+    return low**k <= x <= high**k and (even or low**k < x < high**k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4]),
+    st.integers(1, 2**120),
+    st.integers(1, 2**120),
+    st.integers(-4400, 0),
+)
+def test_nearest_root_is_the_nearest_double(k, num, den, shift):
+    x = Fraction(num, den) * Fraction(2) ** shift
+    if x < 1:
+        assert _rounds_to(bounds._nearest_root(num, den, shift, k), x, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 4]), st.floats(0, 1, exclude_max=True))
+def test_nearest_root_breaks_ties_to_even(k, value):
+    # x^(1/k) exactly halfway between two doubles: the even one wins.
+    middle = (Fraction(value) + Fraction(math.nextafter(value, 2))) / 2
+    x = middle**k
+    got = bounds._nearest_root(x.numerator, x.denominator, 0, k)
+    assert got in (value, math.nextafter(value, 2)) and _rounds_to(got, x, k)
+
+
+def test_bounds_that_underflow_are_zero():
+    assert thorp_bound(2**64, 1000, 1) == 0.0
+    assert ncpa_bound(4, 10**6, 1) == 0.0
+    assert cca_tweak_bound(2**64, 10**7, 1) == 0.0
+
+
+def _bits_used(monkeypatch):
+    # The mantissa bits of every power the evaluations compute.
+    power, bits = bounds._power, []
+
+    def recording(a, b, exp, width):
+        bits.append(width)
+        return power(a, b, exp, width)
+
+    monkeypatch.setattr(bounds, "_power", recording)
+    return bits
+
+
+@pytest.mark.parametrize(
+    "n,q,expected",
+    [
+        (2**128, 2**128 - 2**122, 0.011829268798694517),
+        (36**12, 36**12 - 36**12 // 64, 1.943764950589078e-32),
+        (10**9, 10**9 - 10**9 // 64, 5.959347806545332e-47),
+    ],
+)
+def test_bounds_at_the_round_cap_settle_without_exact_powers(monkeypatch, n, q, expected):
+    # At 65,536 rounds the exact powers run to millions of bits; a few
+    # hundred bits per power decide the same float.
+    bits = _bits_used(monkeypatch)
+    assert cca_bound(n, 65536, q) == expected
+    assert 0 < max(bits) <= 256
+
+
+def test_planner_misses_settle_without_exact_powers(monkeypatch):
+    bits = _bits_used(monkeypatch)
+    bounds._search_rounds.cache_clear()
+    assert min_rounds(36**12, 10**12, 1e-10, Model.CCA) == 478
+    assert min_rounds(2**128, 2**100, 1e-30, Model.NCPA) == 566
+    with pytest.raises(RoundCapExceeded):
+        min_rounds(10**9, 10**9 - 1, 1e-10, Model.CCA)
+    assert 0 < max(bits) <= 256
+
+
 def test_unreachable_target_costs_one_evaluation(monkeypatch):
     # An explicit q = N-1 budget, which no count within the cap reaches: the
     # planner should see that at once, and never quietly weaken the target.
     row = bounds._MODELS[Model.CCA]
     calls = []
 
-    def counting_ln(*args):
+    def counting_factors(*args):
         calls.append(args)
-        return row.ln(*args)
+        return row.factors(*args)
 
-    monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(ln=counting_ln))
+    monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(factors=counting_factors))
     with pytest.raises(RoundCapExceeded, match="no round count <= 65536"):
         plan_rounds(FormatSpec(10, 9), 10**9 - 1)
-    assert len(calls) == 1
+    assert calls == [(10**9, 65536 // 2, 10**9 - 1)]
 
 
 def test_min_rounds_memo_keeps_models_apart_and_errors_live():
@@ -292,61 +420,70 @@ def _exp_grid():
         yield n, rng.randrange(1, 65), rng.randrange(1, n + 1)
 
 
-def test_bounds_exponentiate_as_the_power_of_e():
-    # ctx.exp replaced ctx.e ** ln in _bound; the old expression is the
-    # oracle, and every float must come out the same, not merely close.
-    ctx = bounds._context()
+def _mp60():
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
+    return ctx
 
-    def power_of_e(model, n, r, q):
-        ln_value = bounds._MODELS[model].ln(ctx, n, r, q)
+
+def _ln_ncpa(ctx, n, r, q):
+    # ln of the ncpa bound, as the package computed it in 60-digit mpmath.
+    head = ctx.log(2) + ctx.mpf(3) / 2 * ctx.log(n)
+    return head - ctx.log(r + 2) + (ctx.mpf(r) / 2 + 1) * (ctx.log(q + n) - ctx.log(2 * n))
+
+
+def test_bounds_equal_the_60_digit_power_of_e():
+    # The 60-digit mpmath expression the bounds were once computed from is
+    # the oracle, and every float must come out the same, not merely close.
+    ctx = _mp60()
+
+    def power_of_e(ln_value):
         return 1.0 if ln_value >= 0 else float(ctx.e**ln_value)
 
     points = 0
     for n, r, q in _exp_grid():
-        assert ncpa_bound(n, r, q) == power_of_e(Model.NCPA, n, r, q)
+        assert ncpa_bound(n, r, q) == power_of_e(_ln_ncpa(ctx, n, r, q))
         even = r + r % 2
-        assert cca_bound(n, even, q) == power_of_e(Model.CCA, n, even, q)
-        assert cca_tweak_bound(n, even, q) == power_of_e(Model.CCA_TWEAK, n, even, q)
+        half = _ln_ncpa(ctx, n, even // 2, q)
+        assert cca_bound(n, even, q) == power_of_e(ctx.log(2) + half)
+        assert cca_tweak_bound(n, even, q) == power_of_e(ctx.log(4) + half / 2)
         points += 1
     assert points > 20_000
 
 
-def test_round_term_memo_is_bit_identical():
-    # _ln_ncpa reads ln(r + 2) and r/2 + 1 from a per-round memo; the whole
-    # expression written out in the same context and order is the oracle.
-    ctx = bounds._context()
-
-    def ln_ncpa(n, r, q):
-        head = ctx.log(2) + ctx.mpf(3) / 2 * ctx.log(n)
-        return head - ctx.log(r + 2) + (ctx.mpf(r) / 2 + 1) * (ctx.log(q + n) - ctx.log(2 * n))
+def test_bounds_equal_the_60_digit_exp_to_200_rounds():
+    # The same oracle through ctx.exp, out to 200 rounds at four (N, q).
+    ctx = _mp60()
 
     def clamped(ln_value):
         return 1.0 if ln_value >= 0 else float(ctx.exp(ln_value))
 
     for n, q in [(12, 3), (2**30, 10**8), (36**12, 10**12), (1000, 999)]:
         for r in range(1, 201):
-            assert ncpa_bound(n, r, q) == clamped(ln_ncpa(n, r, q))
+            assert ncpa_bound(n, r, q) == clamped(_ln_ncpa(ctx, n, r, q))
             if r % 2 == 0:
-                assert cca_bound(n, r, q) == clamped(ctx.log(2) + ln_ncpa(n, r // 2, q))
-                assert cca_tweak_bound(n, r, q) == clamped(ctx.log(4) + ln_ncpa(n, r // 2, q) / 2)
+                assert cca_bound(n, r, q) == clamped(ctx.log(2) + _ln_ncpa(ctx, n, r // 2, q))
+                assert cca_tweak_bound(n, r, q) == clamped(
+                    ctx.log(4) + _ln_ncpa(ctx, n, r // 2, q) / 2
+                )
     assert min_rounds(36**12, 10**12, 1e-10, Model.CCA) == 478
 
 
 def test_bounds_ignore_global_mpmath_precision(monkeypatch):
-    # The bounds keep their 60 digits while another thread lowers mpmath's
-    # global precision in the middle of an evaluation, and concurrent calls
-    # leave that global precision as they found it.
+    # The bounds are unchanged when another thread lowers mpmath's global
+    # precision in the middle of an evaluation, and concurrent calls leave
+    # that global precision as they found it.
     args = (2**64, 1200, 2**63)
     expected = cca_bound(*args)
     row = bounds._MODELS[Model.CCA]
     inside, resume = threading.Event(), threading.Event()
 
-    def paused_ln(*ln_args):
+    def paused_factors(*factor_args):
         inside.set()
         resume.wait(timeout=60)
-        return row.ln(*ln_args)
+        return row.factors(*factor_args)
 
-    monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(ln=paused_ln))
+    monkeypatch.setitem(bounds._MODELS, Model.CCA, row._replace(factors=paused_factors))
     results = []
     worker = threading.Thread(target=lambda: results.append(cca_bound(*args)))
     dps = mpmath.mp.dps
@@ -388,10 +525,10 @@ def test_bounds_ignore_global_mpmath_precision(monkeypatch):
     assert mpmath.mp.prec == prec
 
 
-def test_mpmath_loads_at_the_first_evaluation_not_on_import():
-    # A fresh interpreter: importing the package and its CLI leaves mpmath
-    # unloaded, and the first bound evaluation loads it and returns the value
-    # the package gave when mpmath loaded on import.
+def test_bounds_never_load_mpmath():
+    # A fresh interpreter: neither importing the package and its CLI nor
+    # evaluating a bound loads mpmath, and the bound is the value the package
+    # gave when it computed with mpmath.
     script = (
         "import sys, swapornot, swapornot.cli\n"
         "print('mpmath' in sys.modules)\n"
@@ -403,4 +540,4 @@ def test_mpmath_loads_at_the_first_evaluation_not_on_import():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "2.2395192370016514e-11", "True"]
+    assert result.stdout.split() == ["False", "2.2395192370016514e-11", "False"]

@@ -69,6 +69,15 @@ def test_minrounds(capsys):
     assert rounds % 2 == 0 and rounds <= 500
 
 
+def test_minrounds_meets_a_target_equal_to_the_bound(capsys):
+    # ncpa_bound(4, 6, 2) is exactly 0.6328125, so 6 rounds meet that target.
+    code, out, _ = run(
+        capsys, "minrounds", "--N", "4", "--q", "2", "--target-adv", "0.6328125",
+        "--model", "ncpa",
+    )
+    assert (code, out) == (0, "6\n")
+
+
 def test_minrounds_cap_exceeded(capsys):
     code, _, err = run(
         capsys, "minrounds", "--N", "1000000000", "--q", "999999999",

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in that module,
 every function and class the library defines is referenced somewhere, every
-integer type test is the one in ``errors.check_int``, and every boundary the
-benchmark's layer tracer rebinds still exists.
+integer type test is the one in ``errors.check_int``, no library module
+imports mpmath, and every boundary the benchmark's layer tracer rebinds still
+exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -143,6 +144,27 @@ def test_one_integer_type_test():
     # error class cannot drift apart between copies.
     found = [f"{path.stem}.{where}" for path in LIBRARY for where in int_checks(path.read_text())]
     assert found == ["errors.check_int"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages a source imports, absolute imports only."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\ndef f():\n    from mpmath import mp\nfrom . import bounds\n"
+    assert imported_modules(source) == {"os", "mpmath"}
+
+
+def test_library_never_imports_mpmath():
+    # The bounds are exact integer arithmetic; mpmath is a test oracle only.
+    assert [path.stem for path in LIBRARY if "mpmath" in imported_modules(path.read_text())] == []
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
