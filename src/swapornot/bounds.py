@@ -107,6 +107,8 @@ def _checked(model: Model, n: int, q: int, rounds: int | None) -> _ModelRow:
     ``rounds=None`` is the planner's call: rounds are not checked, and the
     query budget must then be at least 1 for every model.
     """
+    if not isinstance(model, Model):
+        raise ParameterError(f"model must be a Model, got {model!r}")
     row = _MODELS[model]
     check_int(n, "domain size", 2)
     if row.pow2 and n & (n - 1):
@@ -255,8 +257,8 @@ def min_rounds(domain_size: int, queries: int, target: float, model: Model) -> i
     so every call with bad inputs raises afresh.
     """
     _checked(model, domain_size, queries, None)
-    if not 0 < target < 1:
-        raise ParameterError(f"target advantage must be in (0, 1), got {target!r}")
+    if not (isinstance(target, float) and 0 < target < 1):
+        raise ParameterError(f"target advantage must be a float in (0, 1), got {target!r}")
     if model is Model.THORP and 4 * (domain_size.bit_length() - 1) * queries >= domain_size:
         raise RoundCapExceeded("thorp bound does not decrease with passes once 4*lg(N)*q >= N")
     return _search_rounds(domain_size, queries, target, model)

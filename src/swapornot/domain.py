@@ -31,6 +31,8 @@ class Domain:
 
     def __post_init__(self) -> None:
         check_int(self.size, "domain size", 2, MAX_DOMAIN_SIZE, DomainError)
+        if not isinstance(self.law, GroupLaw):
+            raise DomainError(f"law must be a GroupLaw, got {self.law!r}")
         if self.law is GroupLaw.XOR and self.size & (self.size - 1):
             raise DomainError(f"XOR law requires a power-of-two size, got {self.size}")
 

@@ -32,7 +32,6 @@ DEFAULT_TARGET_ADVANTAGE = 1e-10
 MIN_FPE_ROUNDS = 2
 
 VECTOR_FORMAT_VERSION = 1
-VECTOR_HEADER = "key,tweak,radix,length,rounds,plaintext,ciphertext"
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,8 @@ class FormatSpec:
 
 def encode_digits(text: str, spec: FormatSpec) -> int:
     """Big-endian positional value of a digit string; leading zeros significant."""
+    if not isinstance(text, str):
+        raise DomainError(f"digits must be a str, got {text!r}")
     if len(text) != spec.length:
         raise DomainError(f"expected {spec.length} digits, got {len(text)}")
     rest = text.lstrip(spec.alphabet)
@@ -195,32 +196,8 @@ def format_golden_vectors(vectors: list[GoldenVector]) -> str:
     """Render the corpus as the line-oriented vector file."""
     lines = [
         f"# swapornot golden vectors format={VECTOR_FORMAT_VERSION} prf={PRF_ID}",
-        VECTOR_HEADER,
+        "key,tweak,radix,length,rounds,plaintext,ciphertext",
     ]
     lines.extend(",".join(map(str, v)) for v in vectors)
     return "\n".join(lines) + "\n"
 
-
-def parse_golden_vectors(text: str) -> list[GoldenVector]:
-    """Parse a vector file, checking its PRF identifier against this build."""
-    vectors = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == VECTOR_HEADER:
-            continue
-        if line.startswith("#"):
-            if f"prf={PRF_ID}" not in line:
-                raise ParameterError(
-                    f"vector file was generated by a different PRF instantiation: {line}"
-                )
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParameterError(f"malformed vector line: {raw!r}")
-        key_hex, tweak_hex, radix, length, rounds, plaintext, ciphertext = fields
-        vectors.append(
-            GoldenVector(
-                key_hex, tweak_hex, int(radix), int(length), int(rounds), plaintext, ciphertext
-            )
-        )
-    return vectors

@@ -183,6 +183,14 @@ def test_min_rounds_deployment_examples():
     assert min_rounds(2**53, 10**15, 1e-10, Model.CCA) <= 500
 
 
+def test_min_rounds_for_16_digit_decimals():
+    # N = 10^16, the card-number domain: this planner's answers, pinned.
+    for target, short, long in [(1e-10, 426, 432), (1e-6, 374, 378)]:
+        rounds = [min_rounds(10**16, 10**e, target, Model.CCA) for e in (8, 10, 12, 14)]
+        assert rounds == [short, short, short, long]
+    assert min_rounds(10**16, 10**15, 1e-10, Model.CCA) == 494
+
+
 # (N, q, target) per model; the answers run from one step to about 10^4 rounds.
 PLANNER_CASES = {
     Model.NCPA: [
@@ -344,6 +352,16 @@ def test_bounds_at_the_round_cap_settle_without_exact_powers(monkeypatch, n, q, 
     bits = _bits_used(monkeypatch)
     assert cca_bound(n, 65536, q) == expected
     assert 0 < max(bits) <= 256
+
+
+def test_settle_refines_until_the_bracket_decides(monkeypatch):
+    # (3/2)^1000 is exact only once 2,000-bit powers fit; every cut pass
+    # before that brackets a target equal to it, or one below it, on both sides.
+    bits = _bits_used(monkeypatch)
+    for num, expected in [(3**1000, True), (3**1000 - 1, False)]:
+        bits.clear()
+        assert bounds._settle(((3, 2, 1000),), bounds._at_most, num, 2**1000) is expected
+        assert bits == [128, 256, 512, 1024, 2048]
 
 
 def test_planner_misses_settle_without_exact_powers(monkeypatch):

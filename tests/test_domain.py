@@ -99,6 +99,13 @@ def test_rejects_bad_sizes():
         Domain.xor_bits(0)
 
 
+def test_law_must_be_a_group_law():
+    # A string law once passed as mod-add: Domain(8, "xor") enciphered like Domain(8).
+    for size, law in [(8, "xor"), (6, "xor"), (8, "add"), (8, None)]:
+        with pytest.raises(DomainError, match="^law must be a GroupLaw, got "):
+            Domain(size, law)
+
+
 def test_xor_bits_size():
     assert Domain.xor_bits(8).size == 256
     assert Domain.xor_bits(8).bit_width == 8

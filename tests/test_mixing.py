@@ -180,6 +180,8 @@ def test_bad_start_tuples():
         ProjectedDistribution.point_mass(Domain(4), (1, 1))
     with pytest.raises(DomainError):
         ProjectedDistribution.point_mass(Domain(4), (0, 4))
+    with pytest.raises(ParameterError, match="^start tuple has 3 entries, expected 2$"):
+        exact_tvd_after(Domain(4), 1, 2, (0, 1, 2))
 
 
 def test_probability_sum_validated():

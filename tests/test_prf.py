@@ -13,6 +13,7 @@ from swapornot import (
     FormatSpec,
     PrfKey,
     RoundMaterial,
+    TweakDigest,
     derive_subkeys,
     fpe_encrypt,
     round_bit,
@@ -172,6 +173,9 @@ def test_tweak_length_bound():
     assert MAX_TWEAK_BYTES == (1 << 32) - 1
     with pytest.raises(DomainError):
         tweak_digest(KEY, object())  # type: ignore[arg-type]
+    for digest in (bytes(15), bytes(17), bytearray(16)):
+        with pytest.raises(DomainError, match="^tweak digest must be exactly 16 bytes$"):
+            TweakDigest(digest)
 
 
 def test_round_bits_only_touch_the_digest():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a library module imports is used in that module,
 every function and class the library defines is referenced somewhere, every
-integer type test is the one in ``errors.check_int``, no library module
-imports mpmath, and every boundary the benchmark's layer tracer rebinds still
-exists.
+module-level one outside ``swapornot.__all__`` has a caller outside the
+tests, every integer type test is the one in ``errors.check_int``, no library
+module imports mpmath, and every boundary the benchmark's layer tracer
+rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -10,7 +11,9 @@ definition left behind after its last caller.  The import check skips
 ``__init__.py`` because its imports are re-exports.  A definition counts as
 referenced when its name appears as a name, an attribute or an imported name
 in any Python file under ``src/``, ``tests/`` or ``bench/``; dunders are called
-by the language and are exempt.
+by the language and are exempt.  A module-level definition that is not public
+must also be referenced from ``src/`` or ``bench/`` outside their tests, so
+that code only the tests call does not stay in the library.
 
 The tracer (``bench/layertrace.py``) skips a boundary that is gone from the
 library, so its metrics would silently read 0; the boundary tests catch a
@@ -25,6 +28,7 @@ from typing import Iterator
 
 import pytest
 
+import swapornot
 from swapornot import FormatSpec, PrfKey, fpe
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +36,7 @@ LIBRARY = sorted((ROOT / "src" / "swapornot").glob("*.py"))
 SOURCES = [path for path in LIBRARY if path.name != "__init__.py"]
 # Read only: nothing is written under bench/.
 REFERRERS = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+CALLERS = [path for path in REFERRERS if "tests" not in path.relative_to(ROOT).parts]
 
 
 def load_layertrace() -> types.ModuleType:
@@ -67,9 +72,11 @@ def test_every_import_is_used(path):
     assert [f"{path.stem}.{name}" for name in unused_imports(path.read_text())] == []
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def definitions(source: str) -> list[str]:
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    names = [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)]
+    names = [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, DEFINITIONS)]
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
@@ -105,6 +112,28 @@ def test_every_definition_is_referenced():
         if name not in used
     ]
     assert dead == []
+
+
+def module_definitions(source: str) -> list[str]:
+    return [node.name for node in ast.parse(source).body if isinstance(node, DEFINITIONS)]
+
+
+def test_module_definitions_are_found():
+    source = "def top(): ...\nclass Top:\n    def method(self): ...\n    class Inner: ...\n"
+    assert module_definitions(source) == ["top", "Top"]
+
+
+def test_every_private_definition_has_a_library_caller():
+    # A test may exercise a helper, but may not be its only caller: what is
+    # not public is reached from the library or the benchmark.
+    used = set().union(*(references(path.read_text()) for path in CALLERS))
+    test_only = [
+        f"{path.stem}.{name}"
+        for path in LIBRARY
+        for name in module_definitions(path.read_text())
+        if name not in swapornot.__all__ and name not in used
+    ]
+    assert test_only == []
 
 
 def int_checks(source: str) -> list[str]:
