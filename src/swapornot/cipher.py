@@ -68,6 +68,9 @@ class DerivedSource:
 
     key: prf.PrfKey
 
+    def __post_init__(self) -> None:
+        prf.check_key(self.key)
+
     def context(self, tweak: bytes) -> prf.TweakDigest:
         return prf.tweak_digest(self.key, tweak)
 
@@ -170,6 +173,7 @@ class RoundMaterial:
         round states are memoized on the key object for later calls with the same key.
         """
         check_int(rounds, "rounds", least, MAX_ROUNDS)
+        source = DerivedSource(key)  # checks the key before its memo is read
         # An entry is (subkeys, the greatest, calls so far, round states or None).
         # Threads sharing a key may race here; that can only recompute a schedule or
         # its states, or miss a call, since every entry is an immutable tuple.
@@ -185,7 +189,7 @@ class RoundMaterial:
             states = prf.round_states(key, rounds) if uses + 1 >= STATE_USES else None
             memo[shape] = entry = (subkeys, top, uses + 1, states)
         subkeys, top, _, states = entry
-        material = cls(subkeys, DerivedSource(key))
+        material = cls(subkeys, source)
         object.__setattr__(material, "_top", top)
         object.__setattr__(material, "_states", states)
         return material

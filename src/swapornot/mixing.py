@@ -35,7 +35,8 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
+from numbers import Real
+from operator import itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple
 
 from . import bounds
@@ -108,7 +109,7 @@ class ProjectedDistribution:
     """Exact distribution of q tracked cards' positions (ordered, distinct).
 
     Integer ``weights`` (state -> numerator) over one ``denominator``.  The
-    constructor takes probabilities >= 0 summing to exactly 1, converted with
+    constructor takes finite real probabilities >= 0 summing to exactly 1, as
     ``Fraction(p)``, and keeps their dict; ``step`` holds its result as packed
     slots.  ``weights`` (after a step, reached states only) and ``probs`` (lowest
     terms) are then views built on first use.
@@ -123,14 +124,16 @@ class ProjectedDistribution:
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
         check_int(tracked, "tracked cards", 1, domain.size)
-        exact = {tup: Fraction(p) for tup, p in probs.items()}
-        for tup, p in exact.items():
-            if len(tup) != tracked or len(set(tup)) != tracked:
-                raise DomainError(f"support tuple {tup} is not {tracked} distinct positions")
+        if not isinstance(probs, Mapping):
+            raise DomainError(f"probs must be a mapping, got a {type(probs).__name__}")
+        for tup, p in probs.items():
+            if not isinstance(tup, tuple) or len(tup) != tracked or len(set(tup)) != tracked:
+                raise DomainError(f"support tuple {tup!r} is not {tracked} distinct positions")
             for x in tup:
                 domain.check_element(x)
-            if p < 0:
-                raise DomainError(f"probability of {tup} is negative: {p}")
+            if not (isinstance(p, Real) and 0 <= p < math.inf):
+                raise DomainError(f"probability of {tup} must be a finite non-negative real: {p!r}")
+        exact = {tup: Fraction(p) for tup, p in probs.items()}
         denominator = math.lcm(*(p.denominator for p in exact.values()))
         weights = {tup: p.numerator * (denominator // p.denominator) for tup, p in exact.items()}
         self._set(domain, tracked, denominator, sum(weights.values()), weights=weights)
@@ -150,7 +153,9 @@ class ProjectedDistribution:
 
     @classmethod
     def point_mass(cls, domain: Domain, start: tuple[int, ...]) -> "ProjectedDistribution":
-        return cls(domain, len(start), {tuple(start): 1})
+        if not isinstance(start, tuple):
+            raise DomainError(f"start must be a tuple of positions, got {start!r}")
+        return cls(domain, len(start), {start: 1})
 
     @classmethod
     def stationary(cls, domain: Domain, tracked: int) -> "ProjectedDistribution":
@@ -176,53 +181,48 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     """Aggregate every (subkey, coin mask) of one round into integer move counts.
 
     A round draws one of N subkeys and one coin per pair, named by the pair's
-    larger member; tracked partners share a coin, and a fixed point
-    (x == partner) cannot move.  With g coins, each of the 2^g masks stands
-    for 2^(q-g) of the 2^q coin outcomes, so every count is out of N * 2^q.
+    larger member; tracked partners share a coin, and a fixed point cannot move.
+    With g coins, each of the 2^g masks stands for 2^(q-g) of the 2^q coin
+    outcomes, so every count is out of N * 2^q.  A state's key reads its cards'
+    positions as base-N digits, card i at N^i.  Heads on a coin add a fixed key
+    change; doubling the keys once per coin puts mask m's destination at index m.
 
     Translating all cards by c commutes with the round: partner(k + 2c, x + c)
     = partner(k, x) + c, and k -> k + 2c only relabels the uniform subkey (under
     XOR, partner(k, x ^ c) = partner(k, x) ^ c); pairs translate, each with one
     fair coin.  The chain lumps by these orbits (Levin-Peres-Wilmer, *Markov
-    Chains and Mixing Times*): only the perm(N-1, q-1) states with first card 0
-    are enumerated.
+    Chains and Mixing Times*): one state per orbit, first card 0, is compiled.
     """
     _check_round_work(domain, tracked)
     n = domain.size
-    all_coins = 1 << tracked
+    places = [n**i for i in range(tracked)]
     reps = [(0, *rest) for rest in itertools.permutations(range(1, n), tracked - 1)]
     # The caller's distribution validated the domain; inline the group law.
     xor = domain.law is GroupLaw.XOR
     states = tuple(
         tuple(y ^ x if xor else (y + x) % n for y in rep) for rep in reps for x in range(n)
     )
-    index = {tup: i for i, tup in enumerate(states)}
+    index = {sum(map(mul, tup, places)): i for i, tup in enumerate(states)}
     # Card 0 stays or moves to k under each subkey k, so every translation occurs.
     order = [i ^ i >> 1 for i in range(n)] if xor else range(n)
     moves = []
     for tup in reps:
-        counts: dict[int, int] = {}
+        base, counts = sum(map(mul, tup, places)), {}
         for k in range(n):
-            partners = [k ^ x if xor else (k + n - x) % n for x in tup]
-            pairs: dict[int, list[int]] = {}
-            for i, (x, xp) in enumerate(zip(tup, partners)):
-                if x != xp:
-                    pairs.setdefault(max(x, xp), []).append(i)
-            groups = list(pairs.values())
-            weight = all_coins >> len(groups)
-            for mask in range(1 << len(groups)):
-                new = list(tup)
-                for g, grp in enumerate(groups):
-                    if mask >> g & 1:
-                        for i in grp:
-                            new[i] = partners[i]
-                dest = index[tuple(new)]
+            flips: dict[int, int] = {}  # coin -> the key change its heads make
+            for x, place in zip(tup, places):
+                if x != (xp := k ^ x if xor else (k - x) % n):
+                    flips[max(x, xp)] = flips.get(max(x, xp), 0) + (xp - x) * place
+            keys, weight = [base], 1 << tracked - len(flips)
+            for flip in flips.values():
+                keys += [key + flip for key in keys]
+            for dest in map(index.__getitem__, keys):
                 counts[dest] = counts.get(dest, 0) + weight
         by_c: dict[int, dict[int, list[int]]] = {}  # translation c -> count -> representatives
         for dest, count in counts.items():  # dest = b*N + c, the state b + c
             by_c.setdefault(dest % n, {}).setdefault(count, []).append(dest // n)
         moves.append(tuple(tuple((w, tuple(bs)) for w, bs in by_c[c].items()) for c in order))
-    return _Transition(states, tuple(moves), n * all_coins)
+    return _Transition(states, tuple(moves), n << tracked)
 
 
 def step(dist: ProjectedDistribution) -> ProjectedDistribution:
@@ -302,9 +302,8 @@ def exact_tvd_after(
     """
     check_int(rounds, "rounds", 0, MAX_EXACT_ROUNDS)
     check_int(tracked, "tracked cards", 1, domain.size)
-    if start is None:
-        start = tuple(range(tracked))
-    dist = ProjectedDistribution.point_mass(domain, tuple(start))
+    start = tuple(range(tracked)) if start is None else start
+    dist = ProjectedDistribution.point_mass(domain, start)
     if dist.tracked != tracked:
         raise ParameterError(f"start tuple has {dist.tracked} entries, expected {tracked}")
     for _ in range(rounds):

@@ -111,6 +111,11 @@ def parse_hex(text: str, what: str) -> bytes:
         raise DomainError(f"{what} is not valid hex: {exc}") from exc
 
 
+def check_key(key: PrfKey) -> None:
+    if not isinstance(key, PrfKey):
+        raise DomainError(f"key must be a PrfKey, got a {type(key).__name__}")
+
+
 def check_tweak(tweak: bytes) -> None:
     if not isinstance(tweak, (bytes, bytearray)):
         raise DomainError("tweak must be a byte string")
@@ -120,6 +125,7 @@ def check_tweak(tweak: bytes) -> None:
 
 def tweak_digest(key: PrfKey, tweak: bytes = b"") -> TweakDigest:
     """Digest a tweak once so round bits only ever touch 16 bytes of it."""
+    check_key(key)
     check_tweak(tweak)
     return TweakDigest(key.block(b"T" + bytes(tweak)))
 
@@ -157,6 +163,7 @@ def round_bit(key: PrfKey, round_index: int, td: TweakDigest, x_hat: int) -> int
 
     Bit 0 of the PRF block, reading the block as a big-endian integer.
     """
+    check_key(key)
     return key.block(encode_round_bit(round_index, td, x_hat))[-1] & 1
 
 
@@ -204,6 +211,7 @@ def _keyed_blocks(copy, messages: Iterable[bytes]) -> Iterator[bytes]:
 
 def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
+    check_key(key)
     check_int(rounds, "rounds", 1, MAX_ROUNDS)
     # Past the table, ``encode_subkey_draw`` without its per-call range check.
     counters = range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1)

@@ -343,3 +343,15 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert float(result.stdout) < 1e-10
+
+
+def test_module_exit_codes():
+    # ``python -m swapornot`` exits with cli_main's code and writes its stdout unchanged.
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "swapornot", *argv], capture_output=True)
+
+    vectors = module("vectors")
+    assert vectors.returncode == 0 and vectors.stdout == VECTOR_FILE.read_bytes()
+    assert module("mixlab", "--max-r", "65").returncode == 2
+    no_budget = module("encrypt", "--key", KEY, "--radix", "10", "--length", "9", "123456789")
+    assert no_budget.returncode == 1 and b"--queries" in no_budget.stderr

@@ -5,7 +5,8 @@ A value of the wrong type must raise the library's own ``ParameterError`` or
 library.  The classes are compared exactly: both library errors subclass
 ``ValueError``, so ``pytest.raises(ValueError)`` would also pass a leak from,
 say, ``itertools.islice``.  The second table holds the same rule for the
-values that are not integers: a planner target, a model, a digit string.
+values that are not integers: a planner target, a model, a digit string, a
+PRF key, and the exact verifier's start tuples, support and probabilities.
 """
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from swapornot import (
     BoundQuery,
     ConstantSource,
+    DerivedSource,
     Domain,
     DomainError,
     FormatSpec,
@@ -106,6 +108,34 @@ WRONG_KINDS = [
      lambda: fpe_encrypt(KEY, FormatSpec(10, 9), 123456789, b"", 10)),
     ("fpe_decrypt-ciphertext", DomainError,
      lambda: fpe_decrypt(KEY, FormatSpec(10, 9), b"123456789", b"", 10)),
+    # A raw 32-byte string where a PrfKey belongs.
+    ("fpe_encrypt-key", DomainError,
+     lambda: fpe_encrypt(bytes(32), FormatSpec(10, 9), "123456789", b"", 10)),
+    ("fpe_decrypt-key", DomainError,
+     lambda: fpe_decrypt(bytes(32), FormatSpec(10, 9), "123456789", b"", 10)),
+    ("RoundMaterial.derived-key", DomainError,
+     lambda: RoundMaterial.derived(Domain(10), 4, bytes(32))),
+    ("derive_subkeys-key", DomainError, lambda: derive_subkeys(bytes(32), Domain(10), 4)),
+    ("tweak_digest-key", DomainError, lambda: tweak_digest(bytes(32))),
+    ("round_bit-key", DomainError,
+     lambda: prf.round_bit(bytes(32), 1, prf.TweakDigest(bytes(16)), 3)),
+    ("DerivedSource-key", DomainError,
+     lambda: encipher(Domain(10), RoundMaterial((1, 2), DerivedSource(bytes(32))), 3)),
+    # The exact verifier's start tuples, support and probabilities.
+    ("point_mass-start", DomainError, lambda: ProjectedDistribution.point_mass(Domain(4), 5)),
+    ("exact_tvd_after-start", DomainError, lambda: exact_tvd_after(Domain(4), 1, 2, 5)),
+    ("ProjectedDistribution-support-key", DomainError,
+     lambda: ProjectedDistribution(Domain(4), 1, {0: 1})),
+    ("ProjectedDistribution-pairs", DomainError,
+     lambda: ProjectedDistribution(Domain(4), 1, [((0,), 1)])),
+    ("ProjectedDistribution-nan", DomainError,
+     lambda: ProjectedDistribution(Domain(4), 1, {(0,): float("nan")})),
+    ("ProjectedDistribution-inf", DomainError,
+     lambda: ProjectedDistribution(Domain(4), 1, {(0,): float("inf")})),
+    ("ProjectedDistribution-None", DomainError,
+     lambda: ProjectedDistribution(Domain(4), 1, {(0,): None})),
+    ("ProjectedDistribution-str", DomainError,
+     lambda: ProjectedDistribution(Domain(4), 1, {(0,): "1/2", (1,): "1/2"})),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -402,6 +403,23 @@ def test_compiled_orbits_list_every_translation(law):
                         dest = t.states[b * n + c]
                         got[dest] = got.get(dest, 0) + Fraction(count, t.outcomes)
             assert got == reference_shuffle_step(n, law.value, {t.states[a * n]: 1})
+
+
+@pytest.mark.parametrize(
+    "law, n, q, digest",
+    [
+        (GroupLaw.MOD_ADD, 12, 3,
+         "65eb5c1982c07fa14990ab4290b6fa208e774bdff90bbce31cfc23e481fd3c90"),
+        (GroupLaw.XOR, 16, 3, "b706c99e63e53cd2239c7484b2e0099d119dfe0f06d845db2d6246a4ccd27459"),
+        (GroupLaw.MOD_ADD, 38, 2,
+         "2cc05683b1c228c49e4be263a8f8c802b086930275c7a083678cc13aa4a155c2"),
+    ],
+)
+def test_compiled_rounds_are_pinned(law, n, q, digest):
+    # Past the whole-deck reference's N <= 8 reach, the compile's exact output
+    # (states, every move group in order, outcomes) is pinned by its digest.
+    t = mixing._transition(Domain(n, law), q)
+    assert hashlib.sha256(repr(t).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("rounds_before", [0, 1, 2])
