@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
 
 from . import prf
 from .domain import Domain, GroupLaw
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_kind
 from .prf import MAX_ROUNDS
 
 # Subkey schedules one key object memoizes before it starts afresh.
@@ -44,6 +44,7 @@ SCHEDULE_MEMO_SIZE = 4
 STATE_USES = 3
 
 
+@runtime_checkable
 class BitSource(Protocol):
     """Supplier of round-function bits.
 
@@ -69,7 +70,7 @@ class DerivedSource:
     key: prf.PrfKey
 
     def __post_init__(self) -> None:
-        prf.check_key(self.key)
+        check_kind(self.key, prf.PrfKey, "key")
 
     def context(self, tweak: bytes) -> prf.TweakDigest:
         return prf.tweak_digest(self.key, tweak)
@@ -174,6 +175,7 @@ class RoundMaterial:
         """
         check_int(rounds, "rounds", least, MAX_ROUNDS)
         source = DerivedSource(key)  # checks the key before its memo is read
+        check_kind(domain, Domain, "domain")
         # An entry is (subkeys, the greatest, calls so far, round states or None).
         # Threads sharing a key may race here; that can only recompute a schedule or
         # its states, or miss a call, since every entry is an immutable tuple.
@@ -201,6 +203,7 @@ class RoundMaterial:
         round-function lists are both reversed, so round i here replays round
         rounds+1-i of the original.
         """
+        check_kind(self.source, BitSource, "round-bit source")
         return RoundMaterial(self.subkeys[::-1], _ReversedSource(self.source, self.rounds))
 
 
@@ -237,12 +240,13 @@ def _run(
 
     Appends a :class:`RoundStep` per round to ``trace`` when one is passed.
     """
+    check_kind(domain, Domain, "domain")
+    check_kind(material, RoundMaterial, "material")
     domain.check_element(x)
     subkeys, top = material.subkeys, material._top
     if top >= domain.size:
         raise DomainError(f"subkey {top} not in [0, {domain.size})")
     source = material.source
-    ctx = source.context(tweak)
     # Inputs are validated above; inline the group law for the hot loop.
     xor = domain.law is GroupLaw.XOR
     n = domain.size
@@ -251,12 +255,12 @@ def _run(
         # prf.round_bit hashed inline, in the layout of prf.encode_round_bit, from
         # states that hold each round's prefix (MAX_ROUNDS < 2**32 fits its 4-byte
         # index): copies of a reused schedule's, or ones built for this call alone.
+        td = source.context(tweak).digest
         states = material._states
         if states is None:
             hashers = order(prf.round_states(source.key, len(subkeys)))
         else:
             hashers = map(hashlib.blake2b.copy, order(states))
-        td = ctx.digest
         for h, k in zip(hashers, order(subkeys)):
             xp = k ^ x if xor else (k - x) % n
             h.update(td)
@@ -264,7 +268,8 @@ def _run(
             if h.digest()[-1] & 1:
                 x = xp
         return x
-    bit = source.bit
+    check_kind(source, BitSource, "round-bit source")
+    ctx, bit = source.context(tweak), source.bit
     for i, k in zip(order(range(1, len(subkeys) + 1)), order(subkeys)):
         xp = k ^ x if xor else (k - x) % n
         x_hat = xp if xp > x else x

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, the one integer check and the one kind check."""
 
 
 class DomainError(ValueError):
@@ -25,3 +25,9 @@ def check_int(
     if least is not None and (value < least or most is not None and value > most):
         span = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise error(f"{name} must be {span}, got {value!r}")
+
+
+def check_kind(value, kind: type, name: str) -> None:
+    """Raise ``DomainError`` unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")

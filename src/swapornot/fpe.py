@@ -6,7 +6,8 @@ bijectively to integers in [0, radix**length) and enciphered there.  The
 group law defaults to modular addition for every radix (XOR is available
 when the domain size is a power of two), and the round count is either
 explicit or planned automatically from a target CCA advantage and a query
-budget.
+budget.  The planner (the ``bounds`` module) is imported by ``plan_rounds``
+on the first planned call, so explicit rounds never load it.
 
 Golden vectors pin the end-to-end behavior - PRF backend, encodings, key
 schedule, cipher loop, codec - as a deterministic text file, versioned by
@@ -19,10 +20,9 @@ import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import bounds
 from .cipher import RoundMaterial, decipher, encipher
 from .domain import MAX_DOMAIN_SIZE, Domain, GroupLaw
-from .errors import DomainError, ParameterError, check_int
+from .errors import DomainError, ParameterError, check_int, check_kind
 from .prf import PRF_ID, PrfKey
 
 ALPHABET = string.digits + string.ascii_lowercase
@@ -70,6 +70,7 @@ class FormatSpec:
 
 def encode_digits(text: str, spec: FormatSpec) -> int:
     """Big-endian positional value of a digit string; leading zeros significant."""
+    check_kind(spec, FormatSpec, "spec")
     if not isinstance(text, str):
         raise DomainError(f"digits must be a str, got {text!r}")
     if len(text) != spec.length:
@@ -82,6 +83,7 @@ def encode_digits(text: str, spec: FormatSpec) -> int:
 
 def decode_digits(value: int, spec: FormatSpec) -> str:
     """Inverse of encode_digits, zero-padded to the format's length."""
+    check_kind(spec, FormatSpec, "spec")
     check_int(value, "value", 0, spec.domain_size - 1, DomainError)
     digits = []
     for _ in range(spec.length):
@@ -94,12 +96,16 @@ def plan_rounds(
     spec: FormatSpec, queries: int, target_advantage: float = DEFAULT_TARGET_ADVANTAGE
 ) -> int:
     """Round count meeting a CCA advantage target against ``queries`` queries on this format."""
+    from . import bounds  # the planner loads on the first planned call
+
+    check_kind(spec, FormatSpec, "spec")
     # The CCA planner only returns even counts >= 2, i.e. >= MIN_FPE_ROUNDS.
     return bounds.min_rounds(spec.domain_size, queries, target_advantage, bounds.Model.CCA)
 
 
 def _fpe(cipher, key, spec, text, tweak, rounds, queries, target_advantage, xor_law) -> str:
     # ``cipher`` is encipher or decipher, read from this module's globals by the caller.
+    check_kind(spec, FormatSpec, "spec")
     if rounds is None:
         if queries is None:
             raise ParameterError(

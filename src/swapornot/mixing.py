@@ -42,7 +42,7 @@ from typing import Iterator, Mapping, NamedTuple
 from . import bounds
 from .cipher import CallableSource, RoundMaterial
 from .domain import Domain, GroupLaw
-from .errors import DomainError, ParameterError, check_int
+from .errors import DomainError, ParameterError, check_int, check_kind
 
 # Work guards, each on the product that sizes what it guards.  An exact round of q
 # cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the support, the
@@ -58,6 +58,7 @@ TRANSITION_CACHE_SIZE = 64
 
 
 def _check_round_work(domain: Domain, tracked: int) -> None:
+    check_kind(domain, Domain, "domain")
     check_int(tracked, "tracked cards", 1, domain.size)
     work = math.perm(domain.size, tracked) * domain.size << min(tracked, domain.size // 2)
     if work > MAX_ROUND_WORK:
@@ -123,9 +124,9 @@ class ProjectedDistribution:
     _packed = None  # (slots, bytes per slot) of a stepped distribution
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
+        check_kind(domain, Domain, "domain")
         check_int(tracked, "tracked cards", 1, domain.size)
-        if not isinstance(probs, Mapping):
-            raise DomainError(f"probs must be a mapping, got a {type(probs).__name__}")
+        check_kind(probs, Mapping, "probs")
         for tup, p in probs.items():
             if not isinstance(tup, tuple) or len(tup) != tracked or len(set(tup)) != tracked:
                 raise DomainError(f"support tuple {tup!r} is not {tracked} distinct positions")
@@ -234,6 +235,7 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     Moves translate the whole orbit one c at a time: a shift of c slots into a 2N-slot
     sum folded once per round, or under XOR the last translate with one block swap.
     """
+    check_kind(dist, ProjectedDistribution, "distribution")
     t = _transition(dist.domain, dist.tracked)
     n, xor = dist.domain.size, dist.domain.law is GroupLaw.XOR
     denominator = dist.denominator * t.outcomes
@@ -283,6 +285,7 @@ def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     to D, so that sum is 2*(S*A - a*D) for the a weights above D // S, summing to A.
     A stepped input's a and A come from its packed slots, with no per-state loop.
     """
+    check_kind(dist, ProjectedDistribution, "distribution")
     s, d = dist.support_size(), dist.denominator
     floor = d // s
     if dist._packed is None:
@@ -301,6 +304,7 @@ def exact_tvd_after(
     ``start`` defaults to the canonical tuple (0, 1, ..., tracked-1).
     """
     check_int(rounds, "rounds", 0, MAX_EXACT_ROUNDS)
+    check_kind(domain, Domain, "domain")
     check_int(tracked, "tracked cards", 1, domain.size)
     start = tuple(range(tracked)) if start is None else start
     dist = ProjectedDistribution.point_mass(domain, start)
@@ -389,6 +393,7 @@ class ShuffleSample:
 
 def shuffle_sample(domain: Domain, rounds: int, seed: int) -> ShuffleSample:
     """Sample a full r-round shuffle of the deck [N] (N * rounds capped for memory)."""
+    check_kind(domain, Domain, "domain")
     n = domain.size
     check_int(rounds, "rounds", 0)
     if n * max(rounds, 1) > MAX_SHUFFLE_WORK:

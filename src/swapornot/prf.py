@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator
 
 from .domain import Domain
-from .errors import DomainError, ParameterError, check_int
+from .errors import DomainError, ParameterError, check_int, check_kind
 
 PRF_ID = "blake2b-128/v1"
 KEY_BYTES = 32
@@ -111,11 +111,6 @@ def parse_hex(text: str, what: str) -> bytes:
         raise DomainError(f"{what} is not valid hex: {exc}") from exc
 
 
-def check_key(key: PrfKey) -> None:
-    if not isinstance(key, PrfKey):
-        raise DomainError(f"key must be a PrfKey, got a {type(key).__name__}")
-
-
 def check_tweak(tweak: bytes) -> None:
     if not isinstance(tweak, (bytes, bytearray)):
         raise DomainError("tweak must be a byte string")
@@ -125,7 +120,7 @@ def check_tweak(tweak: bytes) -> None:
 
 def tweak_digest(key: PrfKey, tweak: bytes = b"") -> TweakDigest:
     """Digest a tweak once so round bits only ever touch 16 bytes of it."""
-    check_key(key)
+    check_kind(key, PrfKey, "key")
     check_tweak(tweak)
     return TweakDigest(key.block(b"T" + bytes(tweak)))
 
@@ -155,6 +150,7 @@ def round_states(key: PrfKey, rounds: int) -> tuple:
 
 def encode_round_bit(round_index: int, td: TweakDigest, x_hat: int) -> bytes:
     check_int(round_index, "round index", 1, _MAX_INDEX)
+    check_kind(td, TweakDigest, "tweak digest")
     return round_prefix(round_index) + td.digest + x_hat.to_bytes(16, "big")
 
 
@@ -163,7 +159,7 @@ def round_bit(key: PrfKey, round_index: int, td: TweakDigest, x_hat: int) -> int
 
     Bit 0 of the PRF block, reading the block as a big-endian integer.
     """
-    check_key(key)
+    check_kind(key, PrfKey, "key")
     return key.block(encode_round_bit(round_index, td, x_hat))[-1] & 1
 
 
@@ -211,7 +207,8 @@ def _keyed_blocks(copy, messages: Iterable[bytes]) -> Iterator[bytes]:
 
 def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
-    check_key(key)
+    check_kind(key, PrfKey, "key")
+    check_kind(domain, Domain, "domain")
     check_int(rounds, "rounds", 1, MAX_ROUNDS)
     # Past the table, ``encode_subkey_draw`` without its per-call range check.
     counters = range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1)

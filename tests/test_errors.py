@@ -6,7 +6,10 @@ library.  The classes are compared exactly: both library errors subclass
 ``ValueError``, so ``pytest.raises(ValueError)`` would also pass a leak from,
 say, ``itertools.islice``.  The second table holds the same rule for the
 values that are not integers: a planner target, a model, a digit string, a
-PRF key, and the exact verifier's start tuples, support and probabilities.
+PRF key, the exact verifier's start tuples, support and probabilities, and
+an object of the wrong kind (a domain, format, material, round-bit source,
+tweak digest or distribution), which ``errors.check_kind`` refuses with
+``DomainError``.
 """
 
 import pytest
@@ -24,9 +27,11 @@ from swapornot import (
     ProjectedDistribution,
     RoundMaterial,
     cca_bound,
+    decipher,
     decode_digits,
     derive_subkeys,
     encipher,
+    encode_digits,
     exact_tvd_after,
     fpe_decrypt,
     fpe_encrypt,
@@ -34,13 +39,15 @@ from swapornot import (
     ncpa_bound,
     plan_rounds,
     shuffle_sample,
+    step,
     thorp_bound,
+    tvd_to_stationary,
     tweak_digest,
     validation_grid,
 )
 from swapornot import bounds, cipher, prf
 from swapornot.cipher import STATE_USES
-from swapornot.errors import check_int
+from swapornot.errors import check_int, check_kind
 
 KEY = PrfKey(bytes(range(32)))
 TD = tweak_digest(KEY)
@@ -136,6 +143,31 @@ WRONG_KINDS = [
      lambda: ProjectedDistribution(Domain(4), 1, {(0,): None})),
     ("ProjectedDistribution-str", DomainError,
      lambda: ProjectedDistribution(Domain(4), 1, {(0,): "1/2", (1,): "1/2"})),
+    # An object of the wrong kind: an int for a Domain, a tuple for a FormatSpec, and so on.
+    ("encipher-domain", DomainError,
+     lambda: encipher(10, RoundMaterial((1, 2), ConstantSource(1)), 3)),
+    ("fpe_encrypt-spec", DomainError,
+     lambda: fpe_encrypt(KEY, (10, 9), "123456789", b"", 10)),
+    ("encipher-source", DomainError,
+     lambda: encipher(Domain(10), RoundMaterial((1, 2), "src"), 3)),
+    ("decipher-material", DomainError, lambda: decipher(Domain(10), None, 3)),
+    ("plan_rounds-spec", DomainError, lambda: plan_rounds((10, 9), 10**6)),
+    ("encode_digits-spec", DomainError, lambda: encode_digits("12", (10, 2))),
+    ("decode_digits-spec", DomainError, lambda: decode_digits(12, (10, 2))),
+    ("derive_subkeys-domain", DomainError, lambda: derive_subkeys(KEY, 10, 4)),
+    ("RoundMaterial.derived-domain", DomainError, lambda: RoundMaterial.derived(10, 4, KEY)),
+    ("exact_tvd_after-domain", DomainError, lambda: exact_tvd_after(10, 1, 1)),
+    ("ProjectedDistribution-domain", DomainError,
+     lambda: ProjectedDistribution(4, 1, {(0,): 1})),
+    ("ProjectedDistribution.stationary-domain", DomainError,
+     lambda: ProjectedDistribution.stationary(4, 1)),
+    ("shuffle_sample-domain", DomainError, lambda: shuffle_sample(10, 2, 1)),
+    ("reversed-source", DomainError,
+     lambda: encipher(Domain(10), RoundMaterial((1, 2), "src").reversed(), 3)),
+    ("round_bit-tweak-digest", DomainError, lambda: prf.round_bit(KEY, 1, None, 3)),
+    ("DerivedSource.bit-tweak-digest", DomainError, lambda: DerivedSource(KEY).bit(1, b"", 3)),
+    ("step-distribution", DomainError, lambda: step(None)),
+    ("tvd_to_stationary-distribution", DomainError, lambda: tvd_to_stationary(None)),
 ]
 
 
@@ -160,6 +192,12 @@ def test_check_int_messages():
         check_int(5, "n", 0, 4, DomainError)
     with pytest.raises(ParameterError, match=r"^n must be >= 2, got 1$"):
         check_int(1, "n", 2)
+
+
+def test_check_kind_message():
+    check_kind(KEY, PrfKey, "key")
+    with pytest.raises(DomainError, match=r"^key must be a PrfKey, got a bytes$"):
+        check_kind(bytes(32), PrfKey, "key")
 
 
 def test_one_round_cap_next_to_the_index_field():

@@ -7,13 +7,13 @@ rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
-definition left behind after its last caller.  The import check skips
-``__init__.py`` because its imports are re-exports.  A definition counts as
+definition left behind after its last caller.  A definition counts as
 referenced when its name appears as a name, an attribute or an imported name
-in any Python file under ``src/``, ``tests/`` or ``bench/``; dunders are called
-by the language and are exempt.  A module-level definition that is not public
-must also be referenced from ``src/`` or ``bench/`` outside their tests, so
-that code only the tests call does not stay in the library.
+in any Python file under ``src/``, ``tests/`` or ``bench/``; dunders, such as
+a module-level ``__getattr__`` (PEP 562), are called by the language and are
+exempt.  A module-level definition that is not public must also be
+referenced from ``src/`` or ``bench/`` outside their tests, so that code only
+the tests call does not stay in the library.
 
 The tracer (``bench/layertrace.py``) skips a boundary that is gone from the
 library, so its metrics would silently read 0; the boundary tests catch a
@@ -33,7 +33,6 @@ from swapornot import FormatSpec, PrfKey, fpe
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "swapornot").glob("*.py"))
-SOURCES = [path for path in LIBRARY if path.name != "__init__.py"]
 # Read only: nothing is written under bench/.
 REFERRERS = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
 CALLERS = [path for path in REFERRERS if "tests" not in path.relative_to(ROOT).parts]
@@ -67,7 +66,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os", "b"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+@pytest.mark.parametrize("path", LIBRARY, ids=[path.stem for path in LIBRARY])
 def test_every_import_is_used(path):
     assert [f"{path.stem}.{name}" for name in unused_imports(path.read_text())] == []
 
@@ -75,9 +74,13 @@ def test_every_import_is_used(path):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source: str) -> list[str]:
     names = [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, DEFINITIONS)]
-    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return [name for name in names if not is_dunder(name)]
 
 
 def references(source: str) -> set[str]:
@@ -115,12 +118,17 @@ def test_every_definition_is_referenced():
 
 
 def module_definitions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body if isinstance(node, DEFINITIONS)]
+    # A module-level __getattr__ or __dir__ (PEP 562) is called by the interpreter.
+    nodes = ast.parse(source).body
+    return [node.name for node in nodes if isinstance(node, DEFINITIONS) and not is_dunder(node.name)]
 
 
 def test_module_definitions_are_found():
-    source = "def top(): ...\nclass Top:\n    def method(self): ...\n    class Inner: ...\n"
-    assert module_definitions(source) == ["top", "Top"]
+    source = (
+        "def top(): ...\nclass Top:\n    def method(self): ...\n    class Inner: ...\n"
+        "def __getattr__(name): ...\ndef _helper(): ...\n"
+    )
+    assert module_definitions(source) == ["top", "Top", "_helper"]
 
 
 def test_every_private_definition_has_a_library_caller():
