@@ -123,6 +123,9 @@ class CallableSource:
 
     fn: Callable[[int, int], int]
 
+    def __post_init__(self) -> None:
+        check_kind(self.fn, Callable, "round-bit function")
+
     def context(self, tweak: bytes) -> None:
         prf.check_tweak(tweak)
 

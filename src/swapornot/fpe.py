@@ -45,9 +45,9 @@ class FormatSpec:
         check_int(self.radix, "radix", 2, len(ALPHABET), DomainError)
         check_int(self.length, "length", 1, error=DomainError)
         if self.domain_size > MAX_DOMAIN_SIZE:
-            raise DomainError(
-                f"radix**length must be <= 2**128, got {self.radix}**{self.length}"
-            )
+            raise DomainError(f"radix**length must be <= 2**128, got {self.radix}**{self.length}")
+        # Built once, not a field: it stays out of eq, hash and repr, as PrfKey's caches do.
+        object.__setattr__(self, "_mod_add", Domain(self.domain_size, GroupLaw.MOD_ADD))
 
     @property
     def domain_size(self) -> int:
@@ -58,14 +58,13 @@ class FormatSpec:
         return ALPHABET[: self.radix]
 
     def domain(self, xor_law: bool = False) -> Domain:
-        if xor_law:
-            n = self.domain_size
-            if n & (n - 1):
-                raise ParameterError(
-                    f"XOR law needs a power-of-two domain, got {self.radix}**{self.length}"
-                )
-            return Domain(n, GroupLaw.XOR)
-        return Domain(self.domain_size, GroupLaw.MOD_ADD)
+        if not xor_law:
+            return self._mod_add
+        if (n := self.domain_size) & (n - 1):
+            raise ParameterError(
+                f"XOR law needs a power-of-two domain, got {self.radix}**{self.length}"
+            )
+        return Domain(n, GroupLaw.XOR)
 
 
 def encode_digits(text: str, spec: FormatSpec) -> int:

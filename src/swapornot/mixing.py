@@ -21,7 +21,7 @@ XOR), so only one state per orbit of N translates is compiled, and a step
 moves each orbit as one packed integer.  A distribution is integer weights
 over one denominator, the start's times (N * 2^q)^r after r rounds, held after
 a step as orbit-packed slots, widened in place as the denominator outgrows them.
-``weights`` and ``probs`` are views built on first use; the TVD reads the packed
+``weights`` and ``probs`` are views built on first use.  Every TVD reads packed
 slots as one int, flagging and summing those above D // S in whole-int operations.
 """
 
@@ -283,16 +283,14 @@ def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     With weights w over denominator D and support size S, the distance is
     sum(|w*S - D|) / (2*D*S), unreached states counting w = 0.  The weights sum
     to D, so that sum is 2*(S*A - a*D) for the a weights above D // S, summing to A.
-    A stepped input's a and A come from its packed slots, with no per-state loop.
+    Both come from packed slots, a constructed input's weights packed in dict order.
     """
     check_kind(dist, ProjectedDistribution, "distribution")
     s, d = dist.support_size(), dist.denominator
-    floor = d // s
-    if dist._packed is None:
-        above = [w for w in dist.weights.values() if w > floor]
-        count, total = len(above), sum(above)
-    else:
-        count, total = _above_floor(*dist._packed, floor)
+    if (packed := dist._packed) is None:
+        size = (d.bit_length() + 7) // 8
+        packed = b"".join(w.to_bytes(size, "little") for w in dist.weights.values()), size
+    count, total = _above_floor(*packed, d // s)
     return Fraction(s * total - count * d, d * s)
 
 

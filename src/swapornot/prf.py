@@ -6,7 +6,8 @@ pinned instantiation is keyed BLAKE2b with a 128-bit digest (``PRF_ID``);
 stored test vectors depend on it, so changing the primitive must bump the
 identifier.
 
-The PRF input encoding is normative and bit-exact:
+The PRF input encoding is normative and bit-exact; one packer, ``_HEADER``,
+writes the 5-byte header of every subkey draw and round bit:
 
 * subkey draws:  ``b"K"`` + draw counter as 4-byte big-endian
 * round bits:    ``b"B"`` + round index as 4-byte big-endian
@@ -43,7 +44,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator
 
-from .domain import Domain
+from .domain import MAX_DOMAIN_SIZE, Domain
 from .errors import DomainError, ParameterError, check_int, check_kind
 
 PRF_ID = "blake2b-128/v1"
@@ -58,6 +59,7 @@ MAX_ROUNDS = 1 << 16
 MAX_TWEAK_BYTES = 0xFFFFFFFF
 _DRAW_TABLE_SIZE = 1 << 12
 _WORD, _WIDE = struct.Struct(">Q8x"), struct.Struct(">QQ")  # 8- and 16-byte subkey candidates
+_HEADER = struct.Struct(">cI")  # a tag byte, then a 4-byte big-endian counter or round index
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ class TweakDigest:
 
 
 def parse_hex(text: str, what: str) -> bytes:
+    check_kind(text, str, what)
     try:
         return bytes.fromhex(text)
     except ValueError as exc:
@@ -122,27 +125,22 @@ def tweak_digest(key: PrfKey, tweak: bytes = b"") -> TweakDigest:
     """Digest a tweak once so round bits only ever touch 16 bytes of it."""
     check_kind(key, PrfKey, "key")
     check_tweak(tweak)
-    return TweakDigest(key.block(b"T" + bytes(tweak)))
+    return TweakDigest(key.block(b"T" + tweak))
 
 
 def encode_subkey_draw(counter: int) -> bytes:
     check_int(counter, "subkey draw counter", 1, _MAX_INDEX)
-    return b"K" + counter.to_bytes(4, "big")
-
-
-def round_prefix(round_index: int) -> bytes:
-    """The message prefix of a round bit: ``b"B"`` + round index as 4-byte big-endian."""
-    return b"B" + round_index.to_bytes(4, "big")
+    return _HEADER.pack(b"K", counter)
 
 
 @functools.lru_cache(maxsize=8)
 def round_prefixes(rounds: int) -> tuple[bytes, ...]:
-    """The prefixes of rounds 1..rounds, built on first use of a round count."""
-    return tuple(round_prefix(i) for i in range(1, rounds + 1))
+    """The round-bit headers of rounds 1..rounds, built on first use of a round count."""
+    return tuple(map(_HEADER.pack, itertools.repeat(b"B"), range(1, rounds + 1)))
 
 
 def round_states(key: PrfKey, rounds: int) -> tuple:
-    """Copies of the key's keyed state, the i-th fed ``round_prefix(i)``, all at C level."""
+    """Copies of the key's keyed state, the i-th fed round i's header, all at C level."""
     states = tuple(itertools.starmap(key._keyed.copy, itertools.repeat((), rounds)))
     collections.deque(map(hashlib.blake2b.update, states, round_prefixes(rounds)), maxlen=0)
     return states
@@ -151,7 +149,8 @@ def round_states(key: PrfKey, rounds: int) -> tuple:
 def encode_round_bit(round_index: int, td: TweakDigest, x_hat: int) -> bytes:
     check_int(round_index, "round index", 1, _MAX_INDEX)
     check_kind(td, TweakDigest, "tweak digest")
-    return round_prefix(round_index) + td.digest + x_hat.to_bytes(16, "big")
+    check_int(x_hat, "element", 0, MAX_DOMAIN_SIZE - 1, DomainError)
+    return _HEADER.pack(b"B", round_index) + td.digest + x_hat.to_bytes(16, "big")
 
 
 def round_bit(key: PrfKey, round_index: int, td: TweakDigest, x_hat: int) -> int:
@@ -211,8 +210,7 @@ def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     check_kind(domain, Domain, "domain")
     check_int(rounds, "rounds", 1, MAX_ROUNDS)
     # Past the table, ``encode_subkey_draw`` without its per-call range check.
-    counters = range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1)
-    tail = map(struct.Struct(">cI").pack, itertools.repeat(b"K"), counters)
+    tail = map(_HEADER.pack, itertools.repeat(b"K"), range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1))
     messages = itertools.chain(_draw_table(), tail)
     if type(key).block is PrfKey.block:
         return sample_uniform(_keyed_blocks(key._keyed.copy, messages), domain.size, rounds)

@@ -6,16 +6,17 @@ library.  The classes are compared exactly: both library errors subclass
 ``ValueError``, so ``pytest.raises(ValueError)`` would also pass a leak from,
 say, ``itertools.islice``.  The second table holds the same rule for the
 values that are not integers: a planner target, a model, a digit string, a
-PRF key, the exact verifier's start tuples, support and probabilities, and
-an object of the wrong kind (a domain, format, material, round-bit source,
-tweak digest or distribution), which ``errors.check_kind`` refuses with
-``DomainError``.
+PRF key, hex text, the exact verifier's start tuples, support and
+probabilities, and an object of the wrong kind (a domain, format, material,
+round-bit source or function, tweak digest or distribution), which
+``errors.check_kind`` refuses with ``DomainError``.
 """
 
 import pytest
 
 from swapornot import (
     BoundQuery,
+    CallableSource,
     ConstantSource,
     DerivedSource,
     Domain,
@@ -71,6 +72,8 @@ ENTRY_POINTS = [
     ("derive_subkeys", ParameterError, lambda v: derive_subkeys(KEY, Domain(1000), v)),
     ("encode_subkey_draw", ParameterError, lambda v: prf.encode_subkey_draw(v)),
     ("encode_round_bit", ParameterError, lambda v: prf.encode_round_bit(v, TD, 0)),
+    ("round_bit-element", DomainError, lambda v: prf.round_bit(KEY, 1, TD, v)),
+    ("DerivedSource.bit-element", DomainError, lambda v: DerivedSource(KEY).bit(1, TD, v)),
     ("sample_uniform-size", DomainError, lambda v: prf.sample_uniform(iter(()), v, 1)),
     ("sample_uniform-count", ParameterError, lambda v: prf.sample_uniform(iter(()), 10, v)),
     ("ProjectedDistribution-tracked", ParameterError,
@@ -103,6 +106,19 @@ def test_non_integers_raise_the_library_error(expected, call, bad):
     assert str(info.value).endswith(f"must be an integer, got {bad!r}")
 
 
+@pytest.mark.parametrize("bad", [1 << 128, -1], ids=["2**128", "-1"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: prf.round_bit(KEY, 1, TD, v), lambda v: DerivedSource(KEY).bit(1, TD, v)],
+    ids=["round_bit", "DerivedSource.bit"],
+)
+def test_round_bit_elements_out_of_range_raise_the_library_error(call, bad):
+    # An element outside [0, 2**128) has no 16-byte field to go in.
+    top = (1 << 128) - 1
+    with pytest.raises(DomainError, match=rf"^element must be in \[0, {top}\], got {bad}$"):
+        call(bad)
+
+
 # (id, error class, call) for values of another kind than int.
 WRONG_KINDS = [
     ("min_rounds-target", ParameterError, lambda: min_rounds(10**9, 10, "0.1", Model.CCA)),
@@ -124,6 +140,9 @@ WRONG_KINDS = [
      lambda: RoundMaterial.derived(Domain(10), 4, bytes(32))),
     ("derive_subkeys-key", DomainError, lambda: derive_subkeys(bytes(32), Domain(10), 4)),
     ("tweak_digest-key", DomainError, lambda: tweak_digest(bytes(32))),
+    # Hex text that is not a str.
+    ("PrfKey.from_hex", DomainError, lambda: PrfKey.from_hex(5)),
+    ("parse_hex-tweak", DomainError, lambda: prf.parse_hex(None, "tweak")),
     ("round_bit-key", DomainError,
      lambda: prf.round_bit(bytes(32), 1, prf.TweakDigest(bytes(16)), 3)),
     ("DerivedSource-key", DomainError,
@@ -162,6 +181,7 @@ WRONG_KINDS = [
     ("ProjectedDistribution.stationary-domain", DomainError,
      lambda: ProjectedDistribution.stationary(4, 1)),
     ("shuffle_sample-domain", DomainError, lambda: shuffle_sample(10, 2, 1)),
+    ("CallableSource", DomainError, lambda: CallableSource(5)),
     ("reversed-source", DomainError,
      lambda: encipher(Domain(10), RoundMaterial((1, 2), "src").reversed(), 3)),
     ("round_bit-tweak-digest", DomainError, lambda: prf.round_bit(KEY, 1, None, 3)),

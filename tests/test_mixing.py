@@ -344,6 +344,35 @@ def test_packed_tvd_equals_the_fraction_sum(law):
     assert full in filled
 
 
+RISING = dict(zip(itertools.permutations(range(3), 2), (Fraction(i, 21) for i in range(1, 7))))
+
+
+@pytest.mark.parametrize(
+    "domain,q,probs,denominator",
+    [
+        # Zero weights beside nonzero ones, and an odd count of three slots.
+        (Domain(4), 1, {(0,): Fraction(1, 2), (1,): 0, (2,): Fraction(1, 2), (3,): 0}, 2),
+        (Domain(5), 1, {(0,): Fraction(1, 3), (2,): Fraction(1, 3), (4,): Fraction(1, 3)}, 3),
+        # Point masses: D = 1 in one byte.
+        (Domain(4), 1, {(3,): 1}, 1),
+        (Domain(5), 2, {(4, 0): 1}, 1),
+        # Denominators that fill their slot bytes exactly: 255 in one, 2^16 - 1 in two.
+        (Domain(4), 1, {(0,): Fraction(1, 255), (1,): Fraction(254, 255)}, 255),
+        (Domain(3), 2, {(0, 1): Fraction(65534, 65535), (2, 1): Fraction(1, 65535)}, 65535),
+        # Weights 1..6 over 21: three above the floor 21 // 6, one on it.
+        (Domain(3), 2, RISING, 21),
+    ],
+)
+def test_constructed_tvd_equals_the_fraction_sum(domain, q, probs, denominator):
+    # A constructed distribution's weights are packed in dict order, at the
+    # denominator's slot width, and read by the same whole-int count as a stepped one's.
+    dist = ProjectedDistribution(domain, q, probs)
+    assert dist._packed is None and dist.denominator == denominator
+    states = list(itertools.permutations(range(domain.size), q))
+    uniform = Fraction(1, len(states))
+    assert tvd_to_stationary(dist) == sum(abs(dist.probs.get(t, 0) - uniform) for t in states) / 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_above_floor_counts_and_sums_the_slots_over_it(data):

@@ -138,6 +138,18 @@ def test_encoding_layout():
     assert encode_subkey_draw(9) == b"K" + (9).to_bytes(4, "big")
 
 
+@pytest.mark.parametrize("i", [1, 255, 256, 300])
+def test_round_headers_are_the_encodings_prefix(i):
+    # The cached headers the cipher hashes from are the spec's first 5 bytes.
+    td = tweak_digest(KEY, b"abc")
+    header = b"B" + i.to_bytes(4, "big")
+    assert prf.round_prefixes(300)[i - 1] == encode_round_bit(i, td, 12345)[:5] == header
+
+
+def test_bytearray_tweak_digests_as_its_bytes():
+    assert tweak_digest(KEY, bytearray(b"abc")) == tweak_digest(KEY, b"abc")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.tuples(st.integers(1, 1 << 16), st.integers(0, (1 << 128) - 1)),

@@ -2,8 +2,8 @@
 every function and class the library defines is referenced somewhere, every
 module-level one outside ``swapornot.__all__`` has a caller outside the
 tests, every integer type test is the one in ``errors.check_int``, no library
-module imports mpmath, and every boundary the benchmark's layer tracer
-rebinds still exists.
+module imports mpmath, the PRF message header is spelled once, and every
+boundary the benchmark's layer tracer rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -202,6 +202,40 @@ def test_imported_modules_are_found():
 def test_library_never_imports_mpmath():
     # The bounds are exact integer arithmetic; mpmath is a test oracle only.
     assert [path.stem for path in LIBRARY if "mpmath" in imported_modules(path.read_text())] == []
+
+
+def header_spellings(source: str) -> list[str]:
+    """The ``Struct(">cI")``, ``pack(">cI", ...)`` and ``.to_bytes(4, ...)`` calls in a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        args = node.args + [kw.value for kw in node.keywords if kw.arg in ("format", "length")]
+        first = args[0].value if args and isinstance(args[0], ast.Constant) else None
+        if (name, first) in (("Struct", ">cI"), ("pack", ">cI"), ("to_bytes", 4)):
+            found.append(f"{name}({first!r})")
+    return found
+
+
+def test_header_spellings_are_found():
+    source = (
+        'import struct\nH = struct.Struct(">cI")\nW = struct.Struct(">QQ")\n'
+        "from struct import Struct\nStruct('>cI')\nstruct.pack('>cI', b'K', 1)\n"
+        'def f(i):\n    return b"B" + i.to_bytes(4, "big") + i.to_bytes(16, "big")\n'
+        'def g(i):\n    return i.to_bytes(length=4, byteorder="big")\n'
+    )
+    found = ["Struct('>cI')", "Struct('>cI')", "pack('>cI')", "to_bytes(4)", "to_bytes(4)"]
+    assert header_spellings(source) == found
+
+
+def test_one_message_header_packer():
+    # The 5-byte header of every subkey draw and round bit (a tag byte, then a
+    # 4-byte big-endian counter or index) comes from one packer, prf._HEADER.
+    found = [
+        f"{path.stem}.{call}" for path in LIBRARY for call in header_spellings(path.read_text())
+    ]
+    assert found == ["prf.Struct('>cI')"]
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
