@@ -9,7 +9,9 @@ Importing the package loads none of its modules.  A public name is imported
 from its module on first access (PEP 562) and then kept here: the FPE names
 load ``errors``, ``domain``, ``prf``, ``cipher`` and ``fpe``; the planner
 (``bounds``) loads on the first planned call or use of a bound name, and the
-mixing verifier (``mixing``) on first use of one of its names.
+mixing verifier (``mixing``) on first use of one of its names; neither loads
+``prf`` or ``cipher``.  ``swapornot.cli`` loads ``bounds`` and ``mixing``, and
+only its ``encrypt``, ``decrypt`` and ``vectors`` commands load the FPE names.
 """
 
 import importlib

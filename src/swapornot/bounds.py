@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
+from .domain import MAX_ROUNDS as ROUND_CAP
 from .errors import ParameterError, RoundCapExceeded, check_int
-from .prf import MAX_ROUNDS as ROUND_CAP
 
 
 class Model(Enum):

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
 
 from . import prf
-from .domain import Domain, GroupLaw
+from .domain import MAX_ROUNDS, Domain, GroupLaw
 from .errors import DomainError, check_int, check_kind
-from .prf import MAX_ROUNDS
 
 # Subkey schedules one key object memoizes before it starts afresh.
 SCHEDULE_MEMO_SIZE = 4

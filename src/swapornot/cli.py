@@ -13,7 +13,8 @@ Exit codes: 0 on success, 1 on usage errors, 2 on parameter/domain errors.
 A usage error, whether argparse or a subcommand finds it, prints argparse's
 usage line and ``swapornot <command>: error: ...`` to stderr.
 Results go to stdout (machine-readable, deterministic; advantages at 6
-significant digits), diagnostics to stderr.
+significant digits), diagnostics to stderr.  Only ``encrypt``, ``decrypt`` and
+``vectors`` import ``fpe`` and ``prf`` (with ``cipher`` and ``hashlib``), when they run.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import time
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from . import fpe, mixing
+from . import mixing
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError
-from .prf import PrfKey, parse_hex
 
 _MODEL_CHOICES = [m.value for m in bounds_mod.Model]
 
@@ -61,12 +61,7 @@ def _add_crypt_parser(sub, name: str, doc: str) -> None:
     p.add_argument("--length", type=int, required=True, help="digit count")
     p.add_argument("--tweak", default="", help="tweak as hex bytes (default: empty)")
     p.add_argument("--rounds", type=int_or_auto, help="round count, or 'auto' (needs --queries)")
-    p.add_argument(
-        "--target-adv",
-        type=float,
-        default=fpe.DEFAULT_TARGET_ADVANTAGE,
-        help="advantage target for auto rounds",
-    )
+    p.add_argument("--target-adv", type=float, help="advantage target for auto rounds")
     p.add_argument("--queries", type=int, help="query budget, required for auto rounds")
     p.add_argument("--xor", action="store_true", help="use the XOR law (power-of-two N only)")
     p.add_argument("text", help="input digit string")
@@ -119,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_crypt(args) -> int:
+    from . import fpe
+    from .prf import PrfKey, parse_hex
+
     rounds = args.rounds
     if rounds is None and args.queries is None:
         args.parser.error(
@@ -130,7 +128,8 @@ def _cmd_crypt(args) -> int:
     spec = fpe.FormatSpec(args.radix, args.length)
     tweak = parse_hex(args.tweak, "tweak")
     if rounds is None:
-        rounds = fpe.plan_rounds(spec, args.queries, args.target_adv)
+        target = fpe.DEFAULT_TARGET_ADVANTAGE if args.target_adv is None else args.target_adv
+        rounds = fpe.plan_rounds(spec, args.queries, target)
         print(f"auto rounds: {rounds}", file=sys.stderr)
     work = fpe.fpe_encrypt if args.command == "encrypt" else fpe.fpe_decrypt
     print(work(key, spec, args.text, tweak, rounds, xor_law=args.xor))
@@ -196,6 +195,8 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_vectors(args) -> int:
+    from . import fpe
+
     sys.stdout.write(fpe.format_golden_vectors(fpe.generate_golden_vectors()))
     return 0
 

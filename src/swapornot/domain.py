@@ -15,6 +15,9 @@ from .errors import DomainError, check_int
 
 # Elements are unsigned integers of at most 128 bits.
 MAX_DOMAIN_SIZE = 1 << 128
+# Longest key schedule, the round planner's limit in ``bounds``; below the largest
+# value of prf's 4-byte index field, so every round index fits it.
+MAX_ROUNDS = 1 << 16
 
 
 class GroupLaw(Enum):

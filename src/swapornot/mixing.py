@@ -23,6 +23,7 @@ over one denominator, the start's times (N * 2^q)^r after r rounds, held after
 a step as orbit-packed slots, widened in place as the denominator outgrows them.
 ``weights`` and ``probs`` are views built on first use.  Every TVD reads packed
 slots as one int, flagging and summing those above D // S in whole-int operations.
+Only ``ShuffleSample.material`` uses the cipher, and it imports it when called.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from operator import itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple
 
 from . import bounds
-from .cipher import CallableSource, RoundMaterial
 from .domain import Domain, GroupLaw
 from .errors import DomainError, ParameterError, check_int, check_kind
 
@@ -381,6 +381,8 @@ class ShuffleSample:
     permutation: tuple[int, ...]
 
     def material(self) -> RoundMaterial:
+        from .cipher import CallableSource, RoundMaterial  # the cipher loads on first replay
+
         coins = self.coins
 
         def replay(round_index: int, x_hat: int) -> int:

@@ -44,18 +44,15 @@ import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator
 
-from .domain import MAX_DOMAIN_SIZE, Domain
+from .domain import MAX_DOMAIN_SIZE, MAX_ROUNDS, Domain
 from .errors import DomainError, ParameterError, check_int, check_kind
 
 PRF_ID = "blake2b-128/v1"
 KEY_BYTES = 32
 BLOCK_BYTES = 16
 
-# Largest value a 4-byte counter/index field can carry.
+# Largest value a 4-byte counter/index field can carry; MAX_ROUNDS stays below it.
 _MAX_INDEX = 0xFFFFFFFF
-# Longest key schedule, the round planner's limit in ``bounds``; below _MAX_INDEX,
-# so every round index fits its field.
-MAX_ROUNDS = 1 << 16
 MAX_TWEAK_BYTES = 0xFFFFFFFF
 _DRAW_TABLE_SIZE = 1 << 12
 _WORD, _WIDE = struct.Struct(">Q8x"), struct.Struct(">QQ")  # 8- and 16-byte subkey candidates

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from swapornot import GroupLaw, mixing
+from swapornot import GroupLaw, fpe, mixing
 from swapornot.cli import cli_main
 
 KEY = "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
@@ -114,6 +114,15 @@ def test_encrypt_auto_rounds_with_budget(capsys):
         "--queries", "100000000", ciphertext,
     )
     assert code == 0 and out.strip() == "123456789"
+
+
+def test_encrypt_auto_rounds_default_target(capsys):
+    # Without --target-adv the planner aims at fpe's default target.
+    argv = ["encrypt", "--key", KEY, "--radix", "10", "--length", "9", "--queries", "100000000"]
+    code, out, err = run(capsys, *argv, "123456789")
+    assert code == 0
+    assert err == f"auto rounds: {fpe.plan_rounds(fpe.FormatSpec(10, 9), 10**8)}\n"
+    assert run(capsys, *argv, "--target-adv", "1e-10", "123456789") == (0, out, err)
 
 
 def test_encrypt_auto_rounds_default_budget_fails(capsys):

@@ -96,3 +96,47 @@ def test_fpe_loads_neither_the_planner_nor_the_verifier():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "['swapornot.bounds']"]
+
+
+def test_analysis_commands_never_load_the_crypto_stack():
+    # A fresh interpreter: the cli loads the planner and the verifier, the
+    # analysis commands load no PRF, cipher, FPE or hashlib, and encrypt loads them.
+    script = (
+        "import contextlib, io, sys\n"
+        "from swapornot.cli import cli_main\n"
+        "crypto = ['swapornot.prf', 'swapornot.cipher', 'swapornot.fpe', 'hashlib']\n"
+        "def loaded():\n"
+        "    return [m for m in crypto if m in sys.modules]\n"
+        "print(['swapornot.bounds' in sys.modules, 'swapornot.mixing' in sys.modules], loaded())\n"
+        "commands = [\n"
+        "    ['mixlab', '--max-n', '4'],\n"
+        "    ['bounds', '--N', '1024', '--rounds', '60', '--q', '512'],\n"
+        "    ['minrounds', '--N', '1024', '--q', '16', '--target-adv', '1e-6'],\n"
+        "    ['shuffle', '--n', '8', '--rounds', '4', '--seed', '7'],\n"
+        "]\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "    codes = [cli_main(argv) for argv in commands]\n"
+        "print(codes, loaded())\n"
+        "key = '00' * 32\n"
+        "with contextlib.redirect_stdout(sink):\n"
+        "    code = cli_main(['encrypt', '--key', key, '--radix', '10', '--length', '9',\n"
+        "                     '--rounds', '10', '123456789'])\n"
+        "print(code, loaded())\n"
+        "from swapornot import Domain, encipher, mixing\n"
+        "domain = Domain(8)\n"
+        "sample = mixing.shuffle_sample(domain, 4, 7)\n"
+        "material = sample.material()\n"
+        "print([encipher(domain, material, x) for x in range(8)] == list(sample.permutation))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[True, True] []",
+        "[0, 0, 0, 0] []",
+        "0 ['swapornot.prf', 'swapornot.cipher', 'swapornot.fpe', 'hashlib']",
+        "True",
+    ]

@@ -2,8 +2,9 @@
 every function and class the library defines is referenced somewhere, every
 module-level one outside ``swapornot.__all__`` has a caller outside the
 tests, every integer type test is the one in ``errors.check_int``, no library
-module imports mpmath, the PRF message header is spelled once, and every
-boundary the benchmark's layer tracer rebinds still exists.
+module imports mpmath, the PRF message header is spelled once, the analysis
+modules (``bounds``, ``mixing``, ``cli``) import no crypto module when they load,
+and every boundary the benchmark's layer tracer rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -236,6 +237,49 @@ def test_one_message_header_packer():
         f"{path.stem}.{call}" for path in LIBRARY for call in header_spellings(path.read_text())
     ]
     assert found == ["prf.Struct('>cI')"]
+
+
+def load_time_imports(source: str) -> set[str]:
+    """The modules a source imports outside its functions: run when it loads.
+
+    ``import a.b`` and ``from a.b import c`` give ``a.b``, ``from .a import c``
+    gives ``a``, and ``from . import a, b`` gives ``a`` and ``b``.
+    """
+    found = set()
+
+    def visit(node) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.update([child.module] if child.module else (a.name for a in child.names))
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_load_time_imports_are_found():
+    source = (
+        "import hashlib\nfrom .cipher import A\nfrom . import fpe as f, mixing\n"
+        "def g():\n    from .prf import K\n    import string\n"
+        "class C:\n    import struct\n"
+        "if True:\n    from os.path import join\n"
+    )
+    assert load_time_imports(source) == {"hashlib", "cipher", "fpe", "mixing", "struct", "os.path"}
+
+
+def test_analysis_modules_load_no_crypto():
+    # bounds, mixing and cli import the PRF, the cipher and FPE only inside
+    # the functions that use them, so the analysis commands never load them.
+    crypto = {"prf", "cipher", "fpe", "hashlib"}
+    found = {
+        path.stem: sorted(load_time_imports(path.read_text()) & crypto)
+        for path in LIBRARY
+        if path.stem in ("bounds", "mixing", "cli")
+    }
+    assert found == {"bounds": [], "cli": [], "mixing": []}
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
