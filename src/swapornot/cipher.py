@@ -20,16 +20,16 @@ The loop picks its path from the source's type.  With a ``DerivedSource``
 from ``prf.round_states``: the key's keyed state already holding each round's
 prefix, kept by a reused schedule (``STATE_USES``) and else built per call.
 ``prf.round_bit`` stays the spec it must match, and an override of
-``PrfKey.block`` does not see these round bits.  Every other source,
-``RoundMaterial.reversed()`` and ``encipher_traced`` go through
-``BitSource.bit`` once per round.
+``PrfKey.block`` does not see these round bits.  Every other source and
+``encipher_traced`` go through ``BitSource.bit`` once per round.  Reversed
+material only records its direction, so it takes the path of its ``decipher``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
 
 from . import prf
@@ -138,6 +138,8 @@ class RoundMaterial:
 
     subkeys: tuple[int, ...]
     source: BitSource
+    # Set only by ``reversed``: encipher runs the rounds from last to first.
+    backward: bool = field(default=False, init=False)
     # Set by ``derived`` on a reused schedule: prf.round_states of its key.
     _states = None
 
@@ -147,7 +149,8 @@ class RoundMaterial:
 
     def __reduce__(self):
         # The cached top and round states are rebuilt, not copied: hashers cannot be pickled.
-        return type(self), (self.subkeys, self.source)
+        # The direction is no constructor argument, so it travels as state.
+        return type(self), (self.subkeys, self.source), {"backward": self.backward}
 
     @property
     def rounds(self) -> int:
@@ -201,24 +204,14 @@ class RoundMaterial:
     def reversed(self) -> "RoundMaterial":
         """Material that runs this material's rounds in the opposite order.
 
-        Enciphering with it undoes enciphering with the original: subkey and
-        round-function lists are both reversed, so round i here replays round
-        rounds+1-i of the original.
+        Enciphering with it undoes enciphering with the original.  The subkeys
+        stay in schedule order, and the cached greatest subkey and round states
+        are shared; only ``backward`` flips, so reversing twice gives back an
+        equal material.
         """
-        check_kind(self.source, BitSource, "round-bit source")
-        return RoundMaterial(self.subkeys[::-1], _ReversedSource(self.source, self.rounds))
-
-
-@dataclass(frozen=True)
-class _ReversedSource:
-    inner: BitSource
-    rounds: int
-
-    def context(self, tweak: bytes) -> Any:
-        return self.inner.context(tweak)
-
-    def bit(self, round_index: int, context: Any, x_hat: int) -> int:
-        return self.inner.bit(self.rounds + 1 - round_index, context, x_hat)
+        material = object.__new__(type(self))
+        vars(material).update(vars(self), backward=not self.backward)
+        return material
 
 
 class RoundStep(NamedTuple):
@@ -240,7 +233,8 @@ def _run(
 ) -> int:
     """The swap-or-not loop, from the first round to the last or, if ``backward``, back.
 
-    Appends a :class:`RoundStep` per round to ``trace`` when one is passed.
+    Reversed material flips the direction.  Appends a :class:`RoundStep` per
+    round to ``trace`` when one is passed.
     """
     check_kind(domain, Domain, "domain")
     check_kind(material, RoundMaterial, "material")
@@ -252,7 +246,7 @@ def _run(
     # Inputs are validated above; inline the group law for the hot loop.
     xor = domain.law is GroupLaw.XOR
     n = domain.size
-    order = reversed if backward else iter
+    order = reversed if backward != material.backward else iter
     if type(source) is DerivedSource and trace is None:
         # prf.round_bit hashed inline, in the layout of prf.encode_round_bit, from
         # states that hold each round's prefix (MAX_ROUNDS < 2**32 fits its 4-byte

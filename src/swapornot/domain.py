@@ -45,11 +45,6 @@ class Domain:
         check_int(bit_width, "bit width", 1, MAX_DOMAIN_SIZE.bit_length() - 1, DomainError)
         return cls(1 << bit_width, GroupLaw.XOR)
 
-    @property
-    def bit_width(self) -> int:
-        """Width in bits of the largest element (exact width for XOR domains)."""
-        return (self.size - 1).bit_length()
-
     def check_element(self, x: int, name: str = "element") -> None:
         check_int(x, name, 0, self.size - 1, DomainError)
 
@@ -62,11 +57,4 @@ class Domain:
         self.check_element(x, "element")
         if self.law is GroupLaw.XOR:
             return subkey ^ x
-        # (K + N - X) mod N keeps every intermediate value non-negative.
-        return (subkey + self.size - x) % self.size
-
-    def canonical(self, x: int, x_partner: int) -> int:
-        """Canonical representative of the pair {x, x_partner}: the larger one."""
-        self.check_element(x, "element")
-        self.check_element(x_partner, "element")
-        return x_partner if x_partner > x else x
+        return (subkey - x) % self.size

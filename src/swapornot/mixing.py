@@ -294,6 +294,13 @@ def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
     return Fraction(s * total - count * d, d * s)
 
 
+def _walk(dist: ProjectedDistribution) -> Iterator[ProjectedDistribution]:
+    """The distributions after 0, 1, 2, ... rounds from ``dist``, say a point start."""
+    while True:
+        yield dist
+        dist = step(dist)
+
+
 def exact_tvd_after(
     domain: Domain, rounds: int, tracked: int, start: tuple[int, ...] | None = None
 ) -> Fraction:
@@ -308,9 +315,7 @@ def exact_tvd_after(
     dist = ProjectedDistribution.point_mass(domain, start)
     if dist.tracked != tracked:
         raise ParameterError(f"start tuple has {dist.tracked} entries, expected {tracked}")
-    for _ in range(rounds):
-        dist = step(dist)
-    return tvd_to_stationary(dist)
+    return tvd_to_stationary(next(itertools.islice(_walk(dist), rounds, None)))
 
 
 @dataclass(frozen=True)
@@ -353,17 +358,10 @@ def validation_grid(
     for domain, q in chains:
         _check_round_work(domain, q)
     for domain, q in chains:
-        dist = ProjectedDistribution.point_mass(domain, tuple(range(q)))
-        for r in range(1, max_rounds + 1):
-            dist = step(dist)
-            yield ValidationRow(
-                law=domain.law,
-                domain_size=domain.size,
-                tracked=q,
-                rounds=r,
-                tvd=tvd_to_stationary(dist),
-                bound=bounds.ncpa_bound(domain.size, r, q),
-            )
+        walk = _walk(ProjectedDistribution.point_mass(domain, tuple(range(q))))
+        for r, dist in enumerate(itertools.islice(walk, 1, max_rounds + 1), start=1):
+            tvd, bound = tvd_to_stationary(dist), bounds.ncpa_bound(domain.size, r, q)
+            yield ValidationRow(domain.law, domain.size, q, r, tvd, bound)
 
 
 @dataclass(frozen=True)

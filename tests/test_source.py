@@ -1,10 +1,11 @@
 """Source hygiene: every name a library module imports is used in that module,
 every function and class the library defines is referenced somewhere, every
-module-level one outside ``swapornot.__all__`` has a caller outside the
-tests, every integer type test is the one in ``errors.check_int``, no library
-module imports mpmath, the PRF message header is spelled once, the analysis
-modules (``bounds``, ``mixing``, ``cli``) import no crypto module when they load,
-and every boundary the benchmark's layer tracer rebinds still exists.
+module-level one outside ``swapornot.__all__`` and every method of an exported
+class has a caller outside the tests, every integer type test is the one in
+``errors.check_int``, no library module imports mpmath, the PRF message header
+is spelled once, the analysis modules (``bounds``, ``mixing``, ``cli``) import
+no crypto module when they load, and every boundary the benchmark's layer
+tracer rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -14,7 +15,10 @@ in any Python file under ``src/``, ``tests/`` or ``bench/``; dunders, such as
 a module-level ``__getattr__`` (PEP 562), are called by the language and are
 exempt.  A module-level definition that is not public must also be
 referenced from ``src/`` or ``bench/`` outside their tests, so that code only
-the tests call does not stay in the library.
+the tests call does not stay in the library.  So must a method or property of
+an exported class, as an attribute or an imported name: a bare name may be a
+field or a parameter of the same spelling.  The few methods only the
+acceptance suite calls are listed by class in ``PUBLIC_METHODS``.
 
 The tracer (``bench/layertrace.py``) skips a boundary that is gone from the
 library, so its metrics would silently read 0; the boundary tests catch a
@@ -37,6 +41,17 @@ LIBRARY = sorted((ROOT / "src" / "swapornot").glob("*.py"))
 # Read only: nothing is written under bench/.
 REFERRERS = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
 CALLERS = [path for path in REFERRERS if "tests" not in path.relative_to(ROOT).parts]
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+# Public API that the library never calls itself: the acceptance suite does.  Each
+# is named with its class, since the suite also reads fields, such as
+# ``RoundStep.canonical``, that a bare method name cannot be told apart from.
+PUBLIC_METHODS = {
+    "Domain.xor_bits",
+    "ProjectedDistribution.stationary",
+    "RoundMaterial.ideal",
+    "RoundMaterial.reversed",
+    "ShuffleSample.material",
+}
 
 
 def load_layertrace() -> types.ModuleType:
@@ -72,7 +87,8 @@ def test_every_import_is_used(path):
     assert [f"{path.stem}.{name}" for name in unused_imports(path.read_text())] == []
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def is_dunder(name: str) -> bool:
@@ -143,6 +159,64 @@ def test_every_private_definition_has_a_library_caller():
         if name not in swapornot.__all__ and name not in used
     ]
     assert test_only == []
+
+
+def methods(source: str, classes) -> list[str]:
+    """``Class.name`` for the methods and properties, dunders aside, of the named classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            items = [item for item in node.body if isinstance(item, FUNCTIONS)]
+            found += [f"{node.name}.{item.name}" for item in items if not is_dunder(item.name)]
+    return found
+
+
+def attribute_references(source: str) -> set[str]:
+    """The attribute and imported names a source uses: bare names do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_test_only_methods_are_found():
+    # The field and the parameter spell the dead methods' names as bare names.
+    library = (
+        "class Step(NamedTuple):\n    canonical: int\n"
+        "class Space:\n    @classmethod\n    def bits(cls, width): return width\n"
+        "    @property\n    def width(self): ...\n    def canonical(self, x, y): ...\n"
+        "    def partner(self, k, x): return self.check(k)\n    def check(self, x): ...\n"
+        "    def __eq__(self, other): ...\n"
+        "class Hidden:\n    def unused(self): ...\n"
+    )
+    user = "from lib import Space as S\nS.bits(3).partner(1, 2)\n"
+    used = attribute_references(library) | attribute_references(user)
+    found = methods(library, {"Step", "Space"})
+    assert [name for name in found if name.partition(".")[2] not in used] == [
+        "Space.width",
+        "Space.canonical",
+    ]
+
+
+def test_every_exported_method_has_a_library_caller():
+    used = set().union(*(attribute_references(path.read_text()) for path in CALLERS))
+    test_only = [
+        name
+        for path in LIBRARY
+        for name in methods(path.read_text(), swapornot.__all__)
+        if name.partition(".")[2] not in used and name not in PUBLIC_METHODS
+    ]
+    assert test_only == []
+
+
+def test_public_methods_exist_and_the_acceptance_suite_calls_them():
+    defined = {name for path in LIBRARY for name in methods(path.read_text(), swapornot.__all__)}
+    called = attribute_references(ACCEPTANCE.read_text())
+    assert PUBLIC_METHODS <= defined
+    assert {name.partition(".")[2] for name in PUBLIC_METHODS} <= called
 
 
 def int_checks(source: str) -> list[str]:
