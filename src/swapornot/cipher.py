@@ -18,7 +18,9 @@ functions, kept separate so a seed never reproduces a PRF key's cipher.
 The loop picks its path from the source's type.  With a ``DerivedSource``
 (and no trace) it hashes every round bit inline, with no call per round,
 from ``prf.round_states``: the key's keyed state already holding each round's
-prefix, kept by a reused schedule (``STATE_USES``) and else built per call.
+prefix.  The key's schedule memo keeps them for (N, R) once that schedule is
+reused (``STATE_USES``), and they then serve any ``DerivedSource`` material
+over the key with R rounds on [N]; other calls build their own.
 ``prf.round_bit`` stays the spec it must match, and an override of
 ``PrfKey.block`` does not see these round bits.  Every other source and
 ``encipher_traced`` go through ``BitSource.bit`` once per round.  Reversed
@@ -140,17 +142,10 @@ class RoundMaterial:
     source: BitSource
     # Set only by ``reversed``: encipher runs the rounds from last to first.
     backward: bool = field(default=False, init=False)
-    # Set by ``derived`` on a reused schedule: prf.round_states of its key.
-    _states = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subkeys", tuple(self.subkeys))
         check_int(len(self.subkeys), "round count", 0, MAX_ROUNDS)
-
-    def __reduce__(self):
-        # The cached top and round states are rebuilt, not copied: hashers cannot be pickled.
-        # The direction is no constructor argument, so it travels as state.
-        return type(self), (self.subkeys, self.source), {"backward": self.backward}
 
     @property
     def rounds(self) -> int:
@@ -195,19 +190,16 @@ class RoundMaterial:
             subkeys, top, uses, _ = entry
             states = prf.round_states(key, rounds) if uses + 1 >= STATE_USES else None
             memo[shape] = entry = (subkeys, top, uses + 1, states)
-        subkeys, top, _, states = entry
-        material = cls(subkeys, source)
-        object.__setattr__(material, "_top", top)
-        object.__setattr__(material, "_states", states)
+        material = cls(entry[0], source)
+        object.__setattr__(material, "_top", entry[1])
         return material
 
     def reversed(self) -> "RoundMaterial":
         """Material that runs this material's rounds in the opposite order.
 
         Enciphering with it undoes enciphering with the original.  The subkeys
-        stay in schedule order, and the cached greatest subkey and round states
-        are shared; only ``backward`` flips, so reversing twice gives back an
-        equal material.
+        stay in schedule order, and the cached greatest subkey is shared; only
+        ``backward`` flips, so reversing twice gives back an equal material.
         """
         material = object.__new__(type(self))
         vars(material).update(vars(self), backward=not self.backward)
@@ -250,13 +242,13 @@ def _run(
     if type(source) is DerivedSource and trace is None:
         # prf.round_bit hashed inline, in the layout of prf.encode_round_bit, from
         # states that hold each round's prefix (MAX_ROUNDS < 2**32 fits its 4-byte
-        # index): copies of a reused schedule's, or ones built for this call alone.
+        # index): copies of those the key keeps for (N, R), or ones built for this call.
         td = source.context(tweak).digest
-        states = material._states
-        if states is None:
-            hashers = order(prf.round_states(source.key, len(subkeys)))
+        entry = source.key._schedules.get((n, len(subkeys)))
+        if entry and entry[3]:
+            hashers = map(hashlib.blake2b.copy, order(entry[3]))
         else:
-            hashers = map(hashlib.blake2b.copy, order(states))
+            hashers = order(prf.round_states(source.key, len(subkeys)))
         for h, k in zip(hashers, order(subkeys)):
             xp = k ^ x if xor else (k - x) % n
             h.update(td)

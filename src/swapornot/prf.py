@@ -22,8 +22,9 @@ domains (where no candidate is ever rejected) subkey i comes from counter i.
 A :class:`PrfKey` builds its keyed BLAKE2b state once and copies it for each
 block, and carries a small memo of subkey schedules, keyed by (N, rounds),
 that ``cipher.RoundMaterial.derived`` fills (with ``round_states`` too, once
-reused).  Both live and die with the key object; neither takes part in its
-equality, hash, repr, copies or pickles.
+reused), whose kept states serve any ``cipher.DerivedSource`` material over
+the key with that (N, rounds).  Both live and die with the key object; neither
+takes part in its equality, hash, repr, copies or pickles.
 
 ``encode_round_bit`` and ``round_bit`` are the normative round-bit spec, and
 the tests compare the cipher against them.  The cipher's production loop

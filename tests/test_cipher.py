@@ -187,7 +187,7 @@ def test_keyed_loop_equals_generic_loop_at_scale(d, ideal):
         fresh = _IdealKey(SEED) if ideal else PrfKey(KEY.key_bytes)
         for _ in range(STATE_USES):
             reused = RoundMaterial.derived(d, rounds, fresh)
-        assert reused.subkeys == m.subkeys and len(reused._states) == rounds
+        assert reused.subkeys == m.subkeys and len(fresh._schedules[d.size, rounds][3]) == rounds
         for tweak in (b"", rng.randbytes(8), rng.randbytes(256)):
             td = prf.tweak_digest(key, tweak)
             generic = RoundMaterial(
@@ -292,7 +292,8 @@ def test_shared_key_schedule_memo_under_threads():
             # Reuse the schedule until it keeps its round states, then use them.
             for _ in range(STATE_USES):
                 m = RoundMaterial.derived(Domain(n), r, key)
-            with_states.append(m._states is not None)
+            entry = key._schedules.get((n, r))
+            with_states.append(entry is not None and entry[3] is not None)
             x = i * 7 % n
             y = encipher(Domain(n), m, x, b"tw")
             if y != expected[n, r][1][x] or decipher(Domain(n), m, y, b"tw") != x:
@@ -336,6 +337,10 @@ def test_double_reverse_restores_behavior():
     assert all(encipher(d, again, x) == encipher(d, m, x) for x in range(50))
 
 
+def refuse_round_states(key, rounds):
+    raise AssertionError("round states built for one call")
+
+
 def replayed_coin(round_index: int, x_hat: int) -> int:
     # Module level, so a material that replays it can be pickled.
     return (round_index ^ x_hat) >> 1 & 1
@@ -351,17 +356,19 @@ def replayed_coin(round_index: int, x_hat: int) -> int:
     ],
     ids=["derived", "ideal", "callable", "constant"],
 )
-def test_reversed_material_is_the_decipher_direction(source):
+def test_reversed_material_is_the_decipher_direction(source, monkeypatch):
     d = Domain(1000)
     if isinstance(source, DerivedSource):
         # Reused until the schedule keeps its round states.
         for _ in range(STATE_USES):
             m = RoundMaterial.derived(d, 24, source.key)
-        assert m._states is not None
+        assert source.key._schedules[d.size, 24][3] is not None
+        # Both directions run from the states the key keeps: none are built.
+        monkeypatch.setattr(prf, "round_states", refuse_round_states)
     else:
         m = RoundMaterial(tuple(random.Random(5).randrange(1000) for _ in range(24)), source)
     rev = m.reversed()
-    assert rev.subkeys == m.subkeys and rev._states is m._states
+    assert rev.subkeys == m.subkeys and rev.source is m.source
     assert rev.backward and not m.backward
     assert rev != m and rev.reversed() == m
     for x, tweak in ((0, b""), (7, b"tw"), (999, bytes(range(40)))):
@@ -373,6 +380,7 @@ def test_reversed_material_is_the_decipher_direction(source):
         # The same pairs and bits, met from the last round to the first.
         assert back == x
         assert [step[2:] for step in trace] == [step[2:] for step in reversed(forward)]
+    monkeypatch.undo()  # a clone's key is a new object, with no kept states
     for clone in (pickle.loads(pickle.dumps(rev)), copy.copy(rev), copy.deepcopy(rev)):
         assert clone == rev and clone.backward
         assert encipher(d, clone, 5, b"t") == decipher(d, m, 5, b"t")
@@ -479,36 +487,74 @@ def test_cached_span_guards_every_domain():
         derived = RoundMaterial.derived(Domain(1000), 17, key)
         with pytest.raises(DomainError):
             encipher(Domain(10), derived, 0)
-    assert derived._states is not None
+    assert key._schedules[1000, 17][3] is not None
 
 
-def test_round_states_held_only_by_a_reused_schedule():
+def test_round_states_held_only_by_a_reused_schedule(monkeypatch):
     d, rounds = Domain(10**9), 340
     RoundMaterial.derived(d, rounds, PrfKey(bytes(32)))  # builds the shared caches
     key = PrfKey(SEED)
+    kept = []  # the key's round states for (N, R) after each derived call
     tracemalloc.start()
     try:
         first = RoundMaterial.derived(d, rounds, key)
+        kept.append(key._schedules[d.size, rounds][3])
         encipher(d, first, 5)
         once = tracemalloc.get_traced_memory()[0]
-        materials = [RoundMaterial.derived(d, rounds, key) for _ in range(STATE_USES - 1)]
+        for _ in range(STATE_USES - 1):
+            m = RoundMaterial.derived(d, rounds, key)
+            kept.append(key._schedules[d.size, rounds][3])
         reused = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     # Used once, the key holds its subkeys and no round state (a state is about 0.45 KB).
     assert once < 200 * rounds
-    assert all(m._states is None for m in [first, *materials[:-1]])
-    # Reused, its schedule holds exactly one state per round, shared by later materials.
-    states = materials[-1]._states
+    assert all(states is None for states in kept[:-1])
+    # Reused, its schedule holds exactly one state per round, kept for later materials.
+    states = kept[-1]
     assert len(states) == rounds and reused - once > 300 * rounds
-    assert RoundMaterial.derived(d, rounds, key)._states is states
+    RoundMaterial.derived(d, rounds, key)
+    assert key._schedules[d.size, rounds][3] is states
     assert len(key._schedules) <= SCHEDULE_MEMO_SIZE
-    # They stay out of the material's equality, copies and pickles.
-    m = materials[-1]
+    # They belong to the key, so a public material over it runs from them too.
     public = RoundMaterial(m.subkeys, DerivedSource(key))
-    assert m == public and public._states is None
+    expected = encipher(d, m, 5, b"t")
+    monkeypatch.setattr(prf, "round_states", refuse_round_states)
+    assert m == public and encipher(d, public, 5, b"t") == expected
+    monkeypatch.undo()
     for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
-        assert clone == m and encipher(d, clone, 5, b"t") == encipher(d, m, 5, b"t")
+        assert clone == m and encipher(d, clone, 5, b"t") == expected
+
+
+KEPT_DOMAINS = [Domain(10**9), Domain.xor_bits(30)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.sampled_from(KEPT_DOMAINS),
+    rounds=st.sampled_from([1, 2, 24]),
+)
+def test_public_material_runs_from_the_keys_kept_states(data, d, rounds):
+    # Kept states depend only on the key and the round index, so once a key
+    # keeps them for (N, R), any R subkeys in [0, N) over that key run from them.
+    key = PrfKey(SEED)
+    for _ in range(STATE_USES):
+        RoundMaterial.derived(d, rounds, key)
+    assert len(key._schedules[d.size, rounds][3]) == rounds
+    subkeys = data.draw(st.lists(st.integers(0, d.size - 1), min_size=rounds, max_size=rounds))
+    public = RoundMaterial(subkeys, DerivedSource(key))
+    x = data.draw(st.integers(0, d.size - 1))
+    for tweak in (b"", b"tw", bytes(range(256))):
+        td = prf.tweak_digest(key, tweak)
+        generic = RoundMaterial(subkeys, CallableSource(lambda i, xh: prf.round_bit(key, i, td, xh)))
+        y, back = encipher(d, generic, x), decipher(d, generic, x)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prf, "round_states", refuse_round_states)
+            assert encipher(d, public, x, tweak) == y
+            assert decipher(d, public, y, tweak) == x
+            assert decipher(d, public, x, tweak) == back
+            assert encipher(d, public.reversed(), y, tweak) == x
 
 
 def test_round_cap():

@@ -59,7 +59,8 @@ def test_used_key_is_a_plain_value():
     # Used again until the schedule keeps its round states.
     for _ in range(STATE_USES - 1):
         assert fpe_encrypt(used, FormatSpec(10, 6), "123456", b"t", 12) == ciphertext
-    assert len(RoundMaterial.derived(Domain(10**6), 12, used)._states) == 12
+    RoundMaterial.derived(Domain(10**6), 12, used)
+    assert len(used._schedules[10**6, 12][3]) == 12
     fresh = PrfKey(raw)
     assert used == fresh and hash(used) == hash(fresh)
     assert used != PrfKey(bytes(KEY_BYTES))

@@ -1,10 +1,28 @@
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import swapornot
+from swapornot import (
+    DerivedSource,
+    Domain,
+    FormatSpec,
+    PrfKey,
+    ProjectedDistribution,
+    RoundMaterial,
+    decipher,
+    encipher,
+    fpe_encrypt,
+    step,
+    tvd_to_stationary,
+)
+from swapornot.cipher import STATE_USES, _IdealKey
 
 # The public surface, pinned: removing or renaming a name here is an API break.
 PUBLIC_NAMES = [
@@ -140,3 +158,61 @@ def test_analysis_commands_never_load_the_crypto_stack():
         "0 ['swapornot.prf', 'swapornot.cipher', 'swapornot.fpe', 'hashlib']",
         "True",
     ]
+
+
+SEED = bytes(range(32))
+
+
+def derived_material() -> RoundMaterial:
+    # Reused until its key keeps the schedule's round states.
+    key = PrfKey(SEED)
+    for _ in range(STATE_USES):
+        material = RoundMaterial.derived(Domain(1000), 12, key)
+    return material
+
+
+def public_material() -> RoundMaterial:
+    return RoundMaterial(tuple(range(0, 1000, 83)), DerivedSource(PrfKey(SEED)))
+
+
+def ciphered(material: RoundMaterial) -> list[int]:
+    d = Domain(1000)
+    return [f(d, material, x, b"t") for f in (encipher, decipher) for x in (0, 7, 999)]
+
+
+def keyed(key: PrfKey) -> tuple:
+    return key.block(b"x"), ciphered(RoundMaterial.derived(Domain(1000), 12, key))
+
+
+def formatted(spec: FormatSpec) -> tuple:
+    return spec._mod_add, spec.domain(), fpe_encrypt(PrfKey(SEED), spec, "123456", b"t", 12)
+
+
+def stepped(dist: ProjectedDistribution) -> tuple:
+    return tvd_to_stationary(dist), step(dist)
+
+
+# Each value with a function of it that shows how it works.
+VALUES = {
+    "derived-material": (derived_material, ciphered),
+    "derived-material-reversed": (lambda: derived_material().reversed(), ciphered),
+    "public-material": (public_material, ciphered),
+    "public-material-reversed": (lambda: public_material().reversed(), ciphered),
+    "prf-key": (lambda: PrfKey(SEED), keyed),
+    "ideal-key": (lambda: _IdealKey(SEED), keyed),
+    "format-spec": (lambda: FormatSpec(10, 6), formatted),
+    "domain": (lambda: Domain.xor_bits(10), lambda d: (d.partner(3, 5), d.size, d.law)),
+    "stepped-distribution": (
+        lambda: step(step(ProjectedDistribution.point_mass(Domain(6), (0, 1)))),
+        stepped,
+    ),
+}
+
+
+@pytest.mark.parametrize("make,behavior", VALUES.values(), ids=VALUES.keys())
+def test_values_survive_pickle_and_copy(make, behavior):
+    value = make()
+    expected = behavior(value)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+        assert behavior(clone) == expected

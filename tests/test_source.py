@@ -4,7 +4,8 @@ module-level one outside ``swapornot.__all__`` and every method of an exported
 class has a caller outside the tests, every integer type test is the one in
 ``errors.check_int``, no library module imports mpmath, the PRF message header
 is spelled once, the analysis modules (``bounds``, ``mixing``, ``cli``) import
-no crypto module when they load, and every boundary the benchmark's layer
+no crypto module when they load, only ``prf.PrfKey`` (the one object holding a
+keyed hasher) defines a pickle hook, and every boundary the benchmark's layer
 tracer rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
@@ -354,6 +355,39 @@ def test_analysis_modules_load_no_crypto():
         if path.stem in ("bounds", "mixing", "cli")
     }
     assert found == {"bounds": [], "cli": [], "mixing": []}
+
+
+PICKLE_HOOKS = {"__reduce__", "__reduce_ex__", "__getstate__", "__setstate__"}
+
+
+def pickle_hooks(source: str) -> list[str]:
+    """``Class.hook`` for each pickle hook a class of the source defines, nested ones included."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, FUNCTIONS) and item.name in PICKLE_HOOKS
+    ]
+
+
+def test_pickle_hooks_are_found():
+    source = (
+        "class Key:\n    def __reduce__(self): ...\n    def __repr__(self): ...\n"
+        "class Plain:\n    def reduce(self): ...\n"
+        "def f():\n    class Local:\n        def __setstate__(self, state): ...\n"
+        "        def __getstate__(self): ...\n"
+        "class Outer:\n    class Inner:\n        def __reduce_ex__(self, protocol): ...\n"
+    )
+    found = ["Key.__reduce__", "Local.__setstate__", "Local.__getstate__", "Inner.__reduce_ex__"]
+    assert sorted(pickle_hooks(source)) == sorted(found)
+
+
+def test_only_the_keyed_hasher_defines_a_pickle_hook():
+    # Every other object pickles and copies by default, from its fields and
+    # plain cached values; a hook would be one more copy path to keep right.
+    found = [f"{path.stem}.{hook}" for path in LIBRARY for hook in pickle_hooks(path.read_text())]
+    assert found == ["prf.PrfKey.__reduce__"]
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
