@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 from . import prf
 from .domain import MAX_ROUNDS, Domain, GroupLaw
@@ -144,6 +145,7 @@ class RoundMaterial:
     backward: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
+        check_kind(self.subkeys, Iterable, "subkeys")
         object.__setattr__(self, "subkeys", tuple(self.subkeys))
         check_int(len(self.subkeys), "round count", 0, MAX_ROUNDS)
 

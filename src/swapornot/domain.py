@@ -3,7 +3,9 @@
 A domain is the set {0, ..., N-1} together with either addition modulo N
 or bitwise XOR (the latter only when N is a power of two).  Every round of
 the cipher pairs an element X with its "partner" under a subkey K: the
-unique X' with X + X' = K (mod N), or X' = K xor X in the XOR case.
+unique X' with X + X' = K (mod N), or X' = K xor X in the XOR case.  The
+rule is spelled inline, as ``k ^ x if xor else (k - x) % n``, where it runs:
+both loops of ``cipher._run``, ``mixing._transition`` and ``mixing.shuffle_sample``.
 """
 
 from __future__ import annotations
@@ -45,16 +47,5 @@ class Domain:
         check_int(bit_width, "bit width", 1, MAX_DOMAIN_SIZE.bit_length() - 1, DomainError)
         return cls(1 << bit_width, GroupLaw.XOR)
 
-    def check_element(self, x: int, name: str = "element") -> None:
-        check_int(x, name, 0, self.size - 1, DomainError)
-
-    def partner(self, subkey: int, x: int) -> int:
-        """The element paired with x by the subkey: subkey - x mod N, or subkey xor x.
-
-        The pairing is an involution: partner(k, partner(k, x)) == x.
-        """
-        self.check_element(subkey, "subkey")
-        self.check_element(x, "element")
-        if self.law is GroupLaw.XOR:
-            return subkey ^ x
-        return (subkey - x) % self.size
+    def check_element(self, x: int) -> None:
+        check_int(x, "element", 0, self.size - 1, DomainError)

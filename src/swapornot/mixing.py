@@ -392,8 +392,9 @@ class ShuffleSample:
 def shuffle_sample(domain: Domain, rounds: int, seed: int) -> ShuffleSample:
     """Sample a full r-round shuffle of the deck [N] (N * rounds capped for memory)."""
     check_kind(domain, Domain, "domain")
-    n = domain.size
+    n, xor = domain.size, domain.law is GroupLaw.XOR
     check_int(rounds, "rounds", 0)
+    check_int(seed, "seed", None)
     if n * max(rounds, 1) > MAX_SHUFFLE_WORK:
         raise ParameterError(f"shuffle sampling capped at N * rounds <= {MAX_SHUFFLE_WORK}")
     rng = random.Random(seed)
@@ -407,7 +408,7 @@ def shuffle_sample(domain: Domain, rounds: int, seed: int) -> ShuffleSample:
         # One coin per pair {x, partner}, keyed by the pair's larger member;
         # fixed points also consume a coin, matching the cipher's bit usage.
         for x in range(n):
-            xp = domain.partner(k, x)
+            xp = k ^ x if xor else (k - x) % n
             if x <= xp:
                 coins[xp] = coin = rng.getrandbits(1)
                 if coin and x < xp:

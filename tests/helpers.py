@@ -12,12 +12,17 @@ rejects by the remainder 2^w mod N, instead of streaming copies of one
 keyed state against a precomputed threshold; the sampler oracle applies
 the same rule to a given block stream one block at a time, instead of
 decoding chunks of blocks at once.
+
+One helper is no oracle: ``partner`` runs the cipher's own round, so the
+pairing's property tests check the code that enciphers.
 """
 
 import hashlib
 import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
+
+from swapornot import ConstantSource, RoundMaterial, encipher
 
 ORACLE_DIGITS = 60
 
@@ -140,6 +145,11 @@ def reference_encipher(n: int, law: str, subkeys, bit_fn, x: int) -> int:
         assert all(table[table[v]] == v for v in range(n)), "round is not an involution"
         x = table[x]
     return x
+
+
+def partner(domain, subkey: int, x: int) -> int:
+    """The element one cipher round pairs with x under subkey: a round whose bit is always 1."""
+    return encipher(domain, RoundMaterial((subkey,), ConstantSource(1)), x)
 
 
 def is_permutation(outputs, n: int) -> bool:

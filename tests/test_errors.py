@@ -8,8 +8,8 @@ say, ``itertools.islice``.  The second table holds the same rule for the
 values that are not integers: a planner target, a model, a digit string, a
 PRF key, hex text, the exact verifier's start tuples, support and
 probabilities, and an object of the wrong kind (a domain, format, material,
-round-bit source or function, tweak digest or distribution), which
-``errors.check_kind`` refuses with ``DomainError``.
+subkey sequence, round-bit source or function, tweak digest or distribution),
+which ``errors.check_kind`` refuses with ``DomainError``.
 """
 
 import pytest
@@ -86,6 +86,7 @@ ENTRY_POINTS = [
     ("validation_grid-tracked", ParameterError, lambda v: list(validation_grid(4, v, 1))),
     ("validation_grid-rounds", ParameterError, lambda v: list(validation_grid(4, 1, v))),
     ("shuffle_sample", ParameterError, lambda v: shuffle_sample(Domain(8), v, 0)),
+    ("shuffle_sample-seed", ParameterError, lambda v: shuffle_sample(Domain(8), 2, v)),
     ("ncpa_bound-N", ParameterError, lambda v: ncpa_bound(v, 4, 1)),
     ("ncpa_bound-rounds", ParameterError, lambda v: ncpa_bound(100, v, 1)),
     ("cca_bound-q", ParameterError, lambda v: cca_bound(100, 4, v)),
@@ -170,6 +171,8 @@ WRONG_KINDS = [
     ("encipher-source", DomainError,
      lambda: encipher(Domain(10), RoundMaterial((1, 2), "src"), 3)),
     ("decipher-material", DomainError, lambda: decipher(Domain(10), None, 3)),
+    ("RoundMaterial-subkeys-None", DomainError, lambda: RoundMaterial(None, ConstantSource(1))),
+    ("RoundMaterial-subkeys-int", DomainError, lambda: RoundMaterial(5, ConstantSource(1))),
     ("plan_rounds-spec", DomainError, lambda: plan_rounds((10, 9), 10**6)),
     ("encode_digits-spec", DomainError, lambda: encode_digits("12", (10, 2))),
     ("decode_digits-spec", DomainError, lambda: decode_digits(12, (10, 2))),

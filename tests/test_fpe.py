@@ -10,6 +10,7 @@ from swapornot import (
     Domain,
     DomainError,
     FormatSpec,
+    Model,
     ParameterError,
     PrfKey,
     RoundCapExceeded,
@@ -18,6 +19,7 @@ from swapornot import (
     encode_digits,
     fpe_decrypt,
     fpe_encrypt,
+    min_rounds,
     plan_rounds,
 )
 from swapornot.fpe import format_golden_vectors, generate_golden_vectors
@@ -172,6 +174,18 @@ def test_plan_rounds_with_budget():
     # auto-rounds plumb through encrypt/decrypt deterministically
     ct = fpe_encrypt(KEY, spec, "987654321", b"", None, queries=10**8)
     assert fpe_decrypt(KEY, spec, ct, b"", None, queries=10**8) == "987654321"
+
+
+@pytest.mark.parametrize(
+    "radix, length, queries, cca, cca_tweak",
+    [(10, 9, 10**8, 334, 500), (36, 12, 10**12, 478, 622), (10, 16, 10**8, 426, 570)],
+)
+def test_planned_rounds_use_the_untweaked_cca_model(radix, length, queries, cca, cca_tweak):
+    # Tweaked calls plan with the same model; README and the fpe docstring say so.
+    n = radix**length
+    assert plan_rounds(FormatSpec(radix, length), queries) == cca
+    assert min_rounds(n, queries, 1e-10, Model.CCA) == cca
+    assert min_rounds(n, queries, 1e-10, Model.CCA_TWEAK) == cca_tweak
 
 
 def test_plan_rounds_default_budget_unreachable():

@@ -95,6 +95,32 @@ def test_all_starting_tuples_smallest_sizes():
                         assert exact_tvd_after(d, r, q, start) <= ncpa_bound(n, r, q)
 
 
+def test_a_mod_add_start_can_sit_farther_than_the_canonical_one():
+    # Cards at distance 2 on mod-add N=4 stay twice as far from uniform as (0, 1).
+    canonical = exact_tvd_after(Domain(4), 8, 2)
+    assert canonical == Fraction(390625, 50331648)
+    assert exact_tvd_after(Domain(4), 8, 2, (0, 2)) == 2 * canonical == Fraction(390625, 25165824)
+
+
+def test_every_xor_start_has_the_canonical_tvd():
+    # The XOR round commutes with every affine bijection of GF(2)^3, since a linear
+    # map L sends the pair {x, k ^ x} to {L(x), L(k) ^ L(x)} and L(k) is uniform
+    # too; that group is 3-transitive on [8], so every start of q <= 3 cards is alike.
+    d = Domain(8, GroupLaw.XOR)
+
+    def tvds(start):  # exact TVD after rounds 1..4, stepping one distribution
+        dist, out = ProjectedDistribution.point_mass(d, start), []
+        for _ in range(4):
+            dist = step(dist)
+            out.append(tvd_to_stationary(dist))
+        return out
+
+    for q in (1, 2, 3):
+        canonical = tvds(tuple(range(q)))
+        for start in itertools.permutations(range(8), q):
+            assert tvds(start) == canonical, start
+
+
 def test_validation_grid_shape_and_pass():
     rows = list(validation_grid(8, 3, 12))
     # 6 ModAdd sizes + 2 XOR sizes, q in 1..3, r in 1..12
@@ -108,9 +134,9 @@ def test_sweep_validates_only_its_start_tuples(monkeypatch):
     calls = []
     check = Domain.check_element
 
-    def counting(self, x, name="element"):
+    def counting(self, x):
         calls.append(x)
-        return check(self, x, name)
+        return check(self, x)
 
     monkeypatch.setattr(Domain, "check_element", counting)
     assert len(list(validation_grid(8, 3, 12))) == 288

@@ -24,6 +24,8 @@ from swapornot import (
 )
 from swapornot.cipher import STATE_USES, _IdealKey
 
+from helpers import partner
+
 # The public surface, pinned: removing or renaming a name here is an API break.
 PUBLIC_NAMES = [
     "BitSource",
@@ -201,7 +203,7 @@ VALUES = {
     "prf-key": (lambda: PrfKey(SEED), keyed),
     "ideal-key": (lambda: _IdealKey(SEED), keyed),
     "format-spec": (lambda: FormatSpec(10, 6), formatted),
-    "domain": (lambda: Domain.xor_bits(10), lambda d: (d.partner(3, 5), d.size, d.law)),
+    "domain": (lambda: Domain.xor_bits(10), lambda d: (partner(d, 3, 5), d.size, d.law)),
     "stepped-distribution": (
         lambda: step(step(ProjectedDistribution.point_mass(Domain(6), (0, 1)))),
         stepped,
