@@ -37,7 +37,7 @@ from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 from . import prf
 from .domain import MAX_ROUNDS, Domain, GroupLaw
-from .errors import DomainError, check_int, check_kind
+from .errors import DomainError, check_int, check_kind, kind_error
 
 # Subkey schedules one key object memoizes before it starts afresh.
 SCHEDULE_MEMO_SIZE = 4
@@ -141,8 +141,9 @@ class RoundMaterial:
 
     subkeys: tuple[int, ...]
     source: BitSource
-    # Set only by ``reversed``: encipher runs the rounds from last to first.
-    backward: bool = field(default=False, init=False)
+    # Set by ``reversed`` (a keyword, so ``dataclasses.replace`` keeps it): encipher
+    # then runs the rounds from last to first.
+    backward: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
         check_kind(self.subkeys, Iterable, "subkeys")
@@ -258,7 +259,9 @@ def _run(
             if h.digest()[-1] & 1:
                 x = xp
         return x
-    check_kind(source, BitSource, "round-bit source")
+    # What isinstance(source, BitSource) checks, without the runtime protocol walk.
+    if getattr(source, "context", None) is None or getattr(source, "bit", None) is None:
+        raise kind_error(source, BitSource, "round-bit source")
     ctx, bit = source.context(tweak), source.bit
     for i, k in zip(order(range(1, len(subkeys) + 1)), order(subkeys)):
         xp = k ^ x if xor else (k - x) % n

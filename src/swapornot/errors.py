@@ -27,7 +27,16 @@ def check_int(
         raise error(f"{name} must be {span}, got {value!r}")
 
 
+def _a(noun: str) -> str:
+    return f"{'an' if noun[:1].lower() in ('a', 'e', 'i', 'o', 'u') else 'a'} {noun}"
+
+
+def kind_error(value, kind: type, name: str) -> DomainError:
+    """The error for ``value`` where an instance of ``kind`` belongs, say "got an int"."""
+    return DomainError(f"{name} must be {_a(kind.__name__)}, got {_a(type(value).__name__)}")
+
+
 def check_kind(value, kind: type, name: str) -> None:
     """Raise ``DomainError`` unless ``value`` is an instance of ``kind``."""
     if not isinstance(value, kind):
-        raise DomainError(f"{name} must be a {kind.__name__}, got a {type(value).__name__}")
+        raise kind_error(value, kind, name)

@@ -18,9 +18,17 @@ The arithmetic is exact.  One round is compiled once per (domain, q) into
 integer move counts out of N * 2^q equally likely (subkey, coins) outcomes.
 The round commutes with translating every card (x -> x + c, or x ^ c under
 XOR), so only one state per orbit of N translates is compiled, and a step
-moves each orbit as one packed integer.  A distribution is integer weights
-over one denominator, the start's times (N * 2^q)^r after r rounds, held after
-a step as orbit-packed slots, widened in place as the denominator outgrows them.
+moves each orbit as one packed integer.  Two more exact facts save work.
+Under mod-add the round also commutes with the mirror x -> c - x taken with
+the card order reversed, so a law it fixes stays fixed; it fixes the start
+(0, 1, ..., q-1) at c = q - 1.  A step from such a law sums into about half
+the orbits and fills the rest by slot permutations.  And the first q' cards
+of the q-card chain are the q'-card chain, so the sweep steps one chain per
+deck (the mixlab default: 12 decks * 12 rounds = 144 steps for 432 rows) and
+reads each smaller q as a marginal.
+A distribution is integer weights over one denominator, the start's times
+(N * 2^q)^r after r rounds, held after a step as orbit-packed slots, widened
+in place as the denominator outgrows them.
 ``weights`` and ``probs`` are views built on first use.  Every TVD reads packed
 slots as one int, flagging and summing those above D // S in whole-int operations.
 Only ``ShuffleSample.material`` uses the cipher, and it imports it when called.
@@ -53,7 +61,8 @@ from .errors import DomainError, ParameterError, check_int, check_kind
 MAX_ROUND_WORK = 1 << 24
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_WORK = 1 << 20
-# Compiled rounds kept; the full mixlab sweep (N <= 12, q <= 3) uses 36.
+# Compiled rounds kept, and as many mirror tables; the full mixlab sweep (N <= 12,
+# q <= 3) compiles 12 rounds, one per deck, at q = 3.
 TRANSITION_CACHE_SIZE = 64
 
 
@@ -122,6 +131,7 @@ class ProjectedDistribution:
     weights: dict[tuple[int, ...], int] = functools.cached_property(_stepped_weights)
     denominator: int
     _packed = None  # (slots, bytes per slot) of a stepped distribution
+    _center = None  # c of a mod-add law that is fixed by its mirror image (see ``_mirror``)
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
         check_kind(domain, Domain, "domain")
@@ -156,7 +166,11 @@ class ProjectedDistribution:
     def point_mass(cls, domain: Domain, start: tuple[int, ...]) -> "ProjectedDistribution":
         if not isinstance(start, tuple):
             raise DomainError(f"start must be a tuple of positions, got {start!r}")
-        return cls(domain, len(start), {start: 1})
+        dist = cls(domain, len(start), {start: 1})
+        centers = {(x + y) % domain.size for x, y in zip(start, reversed(start))}
+        if domain.law is GroupLaw.MOD_ADD and len(centers) == 1:  # s_i + s_(q-1-i) = c for all i
+            vars(dist)["_center"] = centers.pop()
+        return dist
 
     @classmethod
     def stationary(cls, domain: Domain, tracked: int) -> "ProjectedDistribution":
@@ -226,6 +240,37 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     return _Transition(states, tuple(moves), n << tracked)
 
 
+@functools.lru_cache(maxsize=TRANSITION_CACHE_SIZE)
+def _mirror(domain: Domain, tracked: int):
+    """The compiled mod-add round cut down to the orbits kept for a mirror-symmetric law.
+
+    Under mod-add, x -> c - x commutes with the round (the subkey k becomes 2c - k),
+    and so does reversing the card order.  Their product sends the state
+    (0, y_1, ..., y_l) + x to (0, y_l - y_(l-1), ..., y_l - y_1, y_l) + (c - y_l - x),
+    and a law it fixes (``point_mass`` records its c) stays fixed every round.  So
+    ``step`` sums only into the kept orbits a <= mirror(a), and fills orbit a > m =
+    mirror(a) from m: its slot x is m's slot c - y_l - x.  Returns (the moves this is
+    cut from, the kept moves of each source orbit, (a, m, y_l) per filled orbit,
+    and per s the getter of slots (s - x) % N); ``step`` uses it only with those moves.
+    """
+    t = _transition(domain, tracked)
+    n = domain.size
+    reps = t.states[::n]
+    index = {rep: a for a, rep in enumerate(reps)}
+    mirror = [index[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] for rep in reps]
+    keep = [a <= m for a, m in enumerate(mirror)]
+    kept = tuple(
+        tuple(
+            tuple((w, bs) for w, dests in groups if (bs := tuple(filter(keep.__getitem__, dests))))
+            for groups in moves
+        )
+        for moves in t.moves
+    )
+    fills = tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
+    flips = tuple(itemgetter(*((s - x) % n for x in range(n))) for s in range(n))
+    return t.moves, kept, fills, flips
+
+
 def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     """Exact one-round transition of the projected shuffle.
 
@@ -234,10 +279,15 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     slots are widened in place.  Orbit a's N slots are one int, a + x in slot x.
     Moves translate the whole orbit one c at a time: a shift of c slots into a 2N-slot
     sum folded once per round, or under XOR the last translate with one block swap.
+    A mirror-symmetric input sums into the orbits ``_mirror`` keeps, and each other
+    orbit is its mirror's slots permuted; the result keeps the input's center.
     """
     check_kind(dist, ProjectedDistribution, "distribution")
     t = _transition(dist.domain, dist.tracked)
-    n, xor = dist.domain.size, dist.domain.law is GroupLaw.XOR
+    n, xor, center = dist.domain.size, dist.domain.law is GroupLaw.XOR, dist._center
+    table, fills = t.moves, ()
+    if center is not None and (mirror := _mirror(dist.domain, dist.tracked))[0] is t.moves:
+        table, fills, flips = mirror[1:]
     denominator = dist.denominator * t.outcomes
     size = (denominator.bit_length() + 7) // 8  # bytes per slot
     bits, orbit = 8 * size, n * size
@@ -256,8 +306,8 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
         for j in set(blocks)
     }
     swaps = [(j * bits, lows[j]) for j in blocks]
-    out = [0] * len(t.moves)
-    for a, moves in enumerate(t.moves):
+    out = [0] * len(table)
+    for a, moves in enumerate(table):
         weights = int.from_bytes(packed[a * orbit : (a + 1) * orbit], "little")
         if not weights:
             continue
@@ -270,11 +320,17 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
                     out[b] += share
     if not xor:
         out = [(w & full) + (w >> n * bits) for w in out]
+    chunks = list(map(int.to_bytes, out, repeat(orbit), repeat("little")))
+    if fills:
+        unpack = struct.Struct(f"{size}s" * n).unpack
+        for a, m, y in fills:
+            chunks[a] = b"".join(flips[(center - y) % n](unpack(chunks[m])))
+            out[a] = out[m]  # the same slots, permuted
     # Every slot of sum(out) is <= denominator < 2^bits: times the repunit, its top slot sums them.
     total = (sum(out) * (full // one)) >> (n - 1) * bits & one
-    packed = b"".join(map(int.to_bytes, out, repeat(orbit), repeat("little")))
     new = object.__new__(ProjectedDistribution)
-    return new._set(dist.domain, dist.tracked, denominator, total, _packed=(packed, size))
+    packed = (b"".join(chunks), size)
+    return new._set(dist.domain, dist.tracked, denominator, total, _packed=packed, _center=center)
 
 
 def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
@@ -318,6 +374,25 @@ def exact_tvd_after(
     return tvd_to_stationary(next(itertools.islice(_walk(dist), rounds, None)))
 
 
+def _marginals(dist: ProjectedDistribution) -> Iterator[ProjectedDistribution]:
+    """A stepped ``dist`` of q cards, then the laws of its first q - 1, ..., 1 cards.
+
+    Orbit representatives come in ``permutations`` order, so the N - t of t + 1
+    cards that share their first t cards are adjacent, and a prefix translates
+    with its tuple: their orbit ints sum, slot for slot, to the orbit of those t
+    cards.  No slot carries, as each sum is at most D; every marginal keeps D.
+    """
+    yield dist
+    (packed, size), n = dist._packed, dist.domain.size
+    orbit = n * size
+    orbits = [int.from_bytes(packed[i : i + orbit], "little") for i in range(0, len(packed), orbit)]
+    for t in range(dist.tracked - 1, 0, -1):
+        orbits = [sum(orbits[i : i + n - t]) for i in range(0, len(orbits), n - t)]
+        held = b"".join(map(int.to_bytes, orbits, repeat(orbit), repeat("little"))), size
+        new = object.__new__(ProjectedDistribution)
+        yield new._set(dist.domain, t, dist.denominator, dist.denominator, _packed=held)
+
+
 @dataclass(frozen=True)
 class ValidationRow:
     """One grid point of the bound-validation sweep.
@@ -348,6 +423,13 @@ def validation_grid(
     arithmetic is wrong.  ``max_rounds`` is capped at ``MAX_EXACT_ROUNDS``, and
     a grid with any (N, q) chain over ``MAX_ROUND_WORK`` is refused before its
     first row.
+
+    Each deck walks one chain, of top = min(max_tracked, N) cards from
+    (0, ..., top-1): max_rounds steps per deck.  Its first q cards are the q-card
+    chain, so each q < top row reads the marginal of that round's distribution,
+    with the same exact TVD; a deck's rows are buffered to keep their (q, r)
+    order.  A mod-add start (0, ..., top-1) is its own mirror image (c = top - 1),
+    so each of its steps sums into half the orbits (see ``_mirror``).
     """
     check_int(max_size, "max_size", 2)
     check_int(max_tracked, "max_tracked", 1)
@@ -357,11 +439,16 @@ def validation_grid(
     chains = [(d, q) for d in domains for q in range(1, min(max_tracked, d.size) + 1)]
     for domain, q in chains:
         _check_round_work(domain, q)
-    for domain, q in chains:
-        walk = _walk(ProjectedDistribution.point_mass(domain, tuple(range(q))))
+    for domain in domains:
+        top = min(max_tracked, domain.size)
+        rows: list[list[ValidationRow]] = [[] for _ in range(top)]  # by q - 1
+        walk = _walk(ProjectedDistribution.point_mass(domain, tuple(range(top))))
         for r, dist in enumerate(itertools.islice(walk, 1, max_rounds + 1), start=1):
-            tvd, bound = tvd_to_stationary(dist), bounds.ncpa_bound(domain.size, r, q)
-            yield ValidationRow(domain.law, domain.size, q, r, tvd, bound)
+            for marginal in _marginals(dist):
+                q = marginal.tracked
+                tvd, bound = tvd_to_stationary(marginal), bounds.ncpa_bound(domain.size, r, q)
+                rows[q - 1].append(ValidationRow(domain.law, domain.size, q, r, tvd, bound))
+        yield from itertools.chain.from_iterable(rows)
 
 
 @dataclass(frozen=True)

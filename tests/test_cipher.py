@@ -337,6 +337,19 @@ def test_double_reverse_restores_behavior():
     assert all(encipher(d, again, x) == encipher(d, m, x) for x in range(50))
 
 
+def test_replace_keeps_the_direction():
+    # ``backward`` is a keyword field, so a replaced reversed material stays reversed.
+    d, rev = Domain(10), RoundMaterial((1, 2), ConstantSource(1)).reversed()
+    moved = dataclasses.replace(rev, subkeys=(3, 4))
+    forward = RoundMaterial((3, 4), ConstantSource(1))
+    assert moved.backward and moved.subkeys == (3, 4)
+    assert moved == forward.reversed() == RoundMaterial((3, 4), ConstantSource(1), backward=True)
+    assert [encipher(d, moved, x) for x in range(10)] == [decipher(d, forward, x) for x in range(10)]
+    assert not dataclasses.replace(moved, backward=False).backward
+    with pytest.raises(TypeError):
+        RoundMaterial((3, 4), ConstantSource(1), True)  # a keyword only
+
+
 def refuse_round_states(key, rounds):
     raise AssertionError("round states built for one call")
 

@@ -32,6 +32,7 @@ from swapornot import (
     decode_digits,
     derive_subkeys,
     encipher,
+    encipher_traced,
     encode_digits,
     exact_tvd_after,
     fpe_decrypt,
@@ -203,6 +204,29 @@ def test_wrong_kinds_raise_the_library_error(expected, call):
     assert info.type is expected
 
 
+# WRONG_KINDS ids and the whole message: "an" before a vowel, "a" before the rest.
+KIND_MESSAGES = {
+    "RoundMaterial-subkeys-None": "subkeys must be an Iterable, got a NoneType",
+    "RoundMaterial-subkeys-int": "subkeys must be an Iterable, got an int",
+    "encipher-domain": "domain must be a Domain, got an int",
+    "fpe_encrypt-spec": "spec must be a FormatSpec, got a tuple",
+    "encipher-source": "round-bit source must be a BitSource, got a str",
+    "reversed-source": "round-bit source must be a BitSource, got a str",
+    "decipher-material": "material must be a RoundMaterial, got a NoneType",
+    "CallableSource": "round-bit function must be a Callable, got an int",
+    "ProjectedDistribution-domain": "domain must be a Domain, got an int",
+    "step-distribution": "distribution must be a ProjectedDistribution, got a NoneType",
+}
+
+
+@pytest.mark.parametrize("row", [row for row in WRONG_KINDS if row[0] in KIND_MESSAGES], ids=repr)
+def test_wrong_kind_messages(row):
+    name, expected, call = row
+    with pytest.raises(expected) as info:
+        call()
+    assert str(info.value) == KIND_MESSAGES[name]
+
+
 def test_check_int_messages():
     check_int(3, "n", 3, 3)
     check_int(10**40, "n", 3)
@@ -221,6 +245,35 @@ def test_check_kind_message():
     check_kind(KEY, PrfKey, "key")
     with pytest.raises(DomainError, match=r"^key must be a PrfKey, got a bytes$"):
         check_kind(bytes(32), PrfKey, "key")
+    with pytest.raises(DomainError, match=r"^n must be an int, got an ellipsis$"):
+        check_kind(..., int, "n")
+    with pytest.raises(DomainError, match=r"^spec must be an object, got an int$"):
+        check_kind(1, type("object", (), {}), "spec")
+
+
+class _BitOnly:
+    def bit(self, round_index, context, x_hat):
+        return 1
+
+
+class _ContextNone(ConstantSource):
+    context = None
+
+
+@pytest.mark.parametrize(
+    "source",
+    [ConstantSource(1), CallableSource(max), DerivedSource(KEY), _BitOnly(), _ContextNone(1),
+     "src", None, 5],
+    ids=repr,
+)
+def test_source_check_agrees_with_the_protocol(source):
+    # The loop's attribute check admits exactly what isinstance(source, BitSource) does.
+    material = RoundMaterial((1, 2), source)
+    if isinstance(source, cipher.BitSource):
+        assert encipher_traced(Domain(10), material, 3)[0] in range(10)
+    else:
+        with pytest.raises(DomainError, match="^round-bit source must be a BitSource, got an? "):
+            encipher(Domain(10), material, 3)
 
 
 def test_one_round_cap_next_to_the_index_field():

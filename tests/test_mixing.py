@@ -129,8 +129,9 @@ def test_validation_grid_shape_and_pass():
 
 
 def test_sweep_validates_only_its_start_tuples(monkeypatch):
-    # Steps carry exact weights forward without re-checking any tuple: the
-    # 24 (domain, q) pairs of this grid check their starts' sum(q) = 48 elements.
+    # Steps carry exact weights forward without re-checking any tuple, and the
+    # smaller q are read as marginals: the 8 decks of this grid each check one
+    # start of 3 cards, 24 elements.
     calls = []
     check = Domain.check_element
 
@@ -140,7 +141,67 @@ def test_sweep_validates_only_its_start_tuples(monkeypatch):
 
     monkeypatch.setattr(Domain, "check_element", counting)
     assert len(list(validation_grid(8, 3, 12))) == 288
-    assert len(calls) == 48
+    assert len(calls) == 24
+
+
+@pytest.mark.parametrize("grid", [(12, 3, 12), (9, 4, 8)], ids=str)
+def test_grid_rows_equal_their_own_chains(grid):
+    # The sweep walks one chain per deck and reads smaller q as its marginals;
+    # each row must equal the exact TVD of its own q-card chain from (0, ..., q-1).
+    max_size, max_tracked, max_rounds = grid
+    rows = list(validation_grid(*grid))
+    got = {(row.law, row.domain_size, row.tracked, row.rounds): row for row in rows}
+    want = {}
+    for law, n in {key[:2] for key in got}:
+        for q in range(1, min(max_tracked, n) + 1):
+            walk = mixing._walk(ProjectedDistribution.point_mass(Domain(n, law), tuple(range(q))))
+            for r, dist in enumerate(itertools.islice(walk, 1, max_rounds + 1), start=1):
+                want[law, n, q, r] = tvd_to_stationary(dist)
+    assert {key: row.tvd for key, row in got.items()} == want
+    for (_, n, q, r), row in got.items():
+        assert type(row.tvd) is Fraction and row.bound == ncpa_bound(n, r, q)
+    assert len(rows) == len(got) == len(want)
+
+
+def test_sweep_steps_one_chain_per_deck(monkeypatch):
+    # 10 mod-add decks and XOR N = 4, 8, each stepped 12 times for all q <= 3.
+    calls = []
+    real = mixing.step
+
+    def counting(dist):
+        calls.append(dist.tracked)
+        return real(dist)
+
+    monkeypatch.setattr(mixing, "step", counting)
+    assert len(list(validation_grid(12, 3, 12))) == 432
+    assert len(calls) == 12 * 12 and set(calls) == {3}
+
+
+def test_mirrored_steps_equal_plain_ones():
+    # A mod-add point mass with s_i + s_(q-1-i) = c for every i is fixed by the
+    # mirror x -> c - x with the card order reversed, and is stepped through
+    # half its orbits; the same start built by the constructor has no center
+    # and steps every orbit.  Both give the same packed slots.
+    for n in range(2, 10):
+        for q in range(1, min(4, n) + 1):
+            mirrored = [
+                s
+                for s in itertools.permutations(range(n), q)
+                if len({(x + y) % n for x, y in zip(s, reversed(s))}) == 1
+            ]
+            for start in (tuple(range(q)), *mirrored[:: max(1, len(mirrored) // 3)]):
+                center = (start[0] + start[-1]) % n
+                dist = ProjectedDistribution.point_mass(Domain(n), start)
+                plain = ProjectedDistribution(Domain(n), q, {start: 1})
+                assert (dist._center, plain._center) == (center, None)
+                for _ in range(6):
+                    dist, plain = step(dist), step(plain)
+                    assert dist._packed == plain._packed
+                    assert dist.denominator == plain.denominator
+                    assert dist._center == center
+    # Starts that are not mirror images of themselves, and every XOR start, get none.
+    assert ProjectedDistribution.point_mass(Domain(5), (0, 2, 1))._center is None
+    assert ProjectedDistribution.point_mass(Domain(4, GroupLaw.XOR), (0, 3))._center is None
 
 
 def test_oversized_grid_is_refused_before_its_first_row(monkeypatch):
