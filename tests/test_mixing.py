@@ -204,6 +204,57 @@ def test_mirrored_steps_equal_plain_ones():
     assert ProjectedDistribution.point_mass(Domain(4, GroupLaw.XOR), (0, 3))._center is None
 
 
+def test_count_table_rebuilds_the_compiled_moves():
+    # Each source orbit lists its distinct counts once, every one of them used,
+    # then (count index, c, dests) per move group: together they are the compiled
+    # moves, or, mirrored, those moves cut to the orbits a <= mirror(a) that a
+    # mirror-symmetric step sums into.
+    for n in range(2, 10):
+        for q, mirrored in itertools.product(range(1, min(4, n) + 1), (False, True)):
+            domain = Domain(n)
+            t = mixing._transition(domain, q)
+            moves, table, fills, _ = mixing._count_table(domain, q, mirrored)
+            assert moves is t.moves and len(table) == len(moves)
+            reps = t.states[::n]
+            mirror = [reps.index((0, *((r[-1] - y) % n for y in reversed(r[:-1])))) for r in reps]
+            kept = {a for a, m in enumerate(mirror) if a <= m or not mirrored}
+            assert {a for a, _, _ in fills} == set(range(len(reps))) - kept
+            for (counts, groups), by_c in zip(table, moves):
+                assert len(set(counts)) == len(counts)
+                assert {i for i, _, _ in groups} == set(range(len(counts)))
+                rebuilt = [[] for _ in range(n)]
+                for i, c, dests in groups:
+                    rebuilt[c].append((counts[i], dests))
+                want = [
+                    [(w, bs) for w, dests in pairs if (bs := tuple(b for b in dests if b in kept))]
+                    for pairs in by_c
+                ]
+                assert rebuilt == want
+
+
+def test_the_sweep_builds_no_views(monkeypatch):
+    # The sweep reads packed slots only: no stepped distribution (each row's
+    # top-q law) or marginal ever builds its ``weights`` dict or ``Fraction`` probs.
+    seen = []
+    real_tvd = mixing.tvd_to_stationary
+    monkeypatch.setattr(mixing, "tvd_to_stationary", lambda dist: seen.append(dist) or real_tvd(dist))
+    assert len(list(validation_grid(8, 3, 6))) == len(seen) == 8 * 3 * 6
+    assert not [d for d in seen if "weights" in vars(d) or "probs" in vars(d)]
+
+
+def test_row_ok_compares_like_the_fraction():
+    # ``ok`` compares in integers; the exact Fraction-vs-float comparison is the
+    # reference, at exact ties, one ulp either side, and the non-finite bounds.
+    tvds = [Fraction(0), Fraction(1, 3), Fraction(0.1), Fraction(1), Fraction(5e-324)]
+    tvds += [v + Fraction(1, 10**40) for v in tvds]
+    floats = [0.0, 1.0, 0.1, 1 / 3, 5e-324, 0.999]
+    bounds = [b for f in floats for b in (math.nextafter(f, -1), f, math.nextafter(f, 2))]
+    bounds += [math.inf, -math.inf, math.nan]
+    for tvd, bound in itertools.product(tvds, bounds):
+        row = mixing.ValidationRow(GroupLaw.MOD_ADD, 4, 1, 1, tvd, bound)
+        assert row.ok is (tvd <= bound), (tvd, bound)
+
+
 def test_oversized_grid_is_refused_before_its_first_row(monkeypatch):
     # N=9, q=7 is over MAX_ROUND_WORK.  The chains N=3..8 come first in the
     # sweep, but every chain is checked before any is stepped.
@@ -349,8 +400,10 @@ def test_step_equals_whole_deck_oracle(domain):
     # translates orbits by block swaps for all three bits.
     n = domain.size
     for q in range(1, min(3, n) + 1):
-        # Two point masses and a mix of a float and Fractions, which starts
-        # over a denominator of 6 (3 when N = 2) rather than 1.
+        # Three point masses (the reversed tuple is mirror-symmetric under
+        # mod-add, the middle one mostly not), a two-point start, a mix of a
+        # float and Fractions, which starts over a denominator of 6 (3 when
+        # N = 2) rather than 1, and the stationary law.
         states = list(itertools.permutations(range(n), q))
         mix = (Fraction(1, 3), 0.5, Fraction(1, 6))
         if len(states) == 2:  # N = 2
@@ -358,9 +411,20 @@ def test_step_equals_whole_deck_oracle(domain):
         starts = [
             ProjectedDistribution.point_mass(domain, tuple(range(q))),
             ProjectedDistribution.point_mass(domain, tuple(range(n - 1, n - 1 - q, -1))),
+            ProjectedDistribution.point_mass(domain, states[len(states) // 2]),
+            ProjectedDistribution(domain, q, {states[0]: Fraction(3, 4), states[-1]: 0.25}),
             ProjectedDistribution(domain, q, dict(zip(states[-3:], mix))),
+            ProjectedDistribution.stationary(domain, q),
         ]
         for start in starts:
+            # A constructed start is packed by its support; its first step equals
+            # that of a twin packed densely, every compiled state's weight in turn.
+            d = start.denominator
+            size = (d.bit_length() + 7) // 8
+            slots = mixing._transition(domain, q).states
+            dense = b"".join(start.weights.get(s, 0).to_bytes(size, "little") for s in slots)
+            twin = object.__new__(ProjectedDistribution)._set(domain, q, d, d, _packed=(dense, size))
+            assert step(start)._packed == step(twin)._packed
             dist, expected = start, dict(start.probs)
             for r in range(1, 4):
                 dist = step(dist)
