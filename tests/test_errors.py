@@ -255,6 +255,10 @@ class _BitOnly:
     def bit(self, round_index, context, x_hat):
         return 1
 
+    def __repr__(self):
+        # A stable test id: the default repr carries a memory address.
+        return "_BitOnly()"
+
 
 class _ContextNone(ConstantSource):
     context = None
