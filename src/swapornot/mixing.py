@@ -18,17 +18,15 @@ The arithmetic is exact.  One round is compiled once per (domain, q) into
 integer move counts out of N * 2^q equally likely (subkey, coins) outcomes.
 The round commutes with translating every card (x -> x + c, or x ^ c under
 XOR), so only one state per orbit of N translates is compiled, and a step
-moves each orbit as one packed integer, scaled once per distinct move count and
-shifted into place per move group: a mirrored N=12, q=3 round makes 308 multiplies,
-1,385 shifts and 3,736 adds (1,385, 1,320 and 3,736 when each group scaled its
-translate).  Two more exact facts save work.
+moves each orbit as one packed integer: under mod-add scaled once per distinct
+move count and shifted into place per move group, under XOR translated one block
+swap at a time and scaled per group.  Two more exact facts save work.
 Under mod-add the round also commutes with the mirror x -> c - x taken with
 the card order reversed, so a law it fixes stays fixed; it fixes the start
 (0, 1, ..., q-1) at c = q - 1.  A step from such a law sums into about half
-the orbits and fills the rest by slot permutations.  And the first q' cards
+the orbits and fills the rest from their mirror images.  And the first q' cards
 of the q-card chain are the q'-card chain, so the sweep steps one chain per
-deck (the mixlab default: 12 decks * 12 rounds = 144 steps for 432 rows) and
-reads each smaller q as a marginal.
+deck and reads each smaller q as a marginal.
 A distribution is integer weights over one denominator, the start's times
 (N * 2^q)^r after r rounds, held after a step as orbit-packed slots, widened
 in place as the denominator outgrows them; a constructed one is packed by its
@@ -47,7 +45,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse, repeat
+from itertools import repeat
 from numbers import Real
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple
@@ -59,14 +57,11 @@ from .errors import DomainError, ParameterError, check_int, check_kind
 # Work guards, each on the product that sizes what it guards.  An exact round of q
 # cards on N positions costs S * N * 2^min(q, N // 2), S = perm(N, q): the support, the
 # compile's coin masks (at most N // 2 pairs) and the step's N translates of N slots per
-# orbit, held one at a time.  Worst admitted at r = 64 on a 2-core host: N=17, q=4,
-# N=38, q=3, N=161, q=2 and N=9, q=6 in 25-35 s at most 110 MB; q=1 at 27-28 MB in
-# 56 s (N=2896) and 34-40 s (N=2048, XOR).  A shuffle keeps N coins per round.
+# orbit, held one at a time.  A shuffle keeps N coins per round.
 MAX_ROUND_WORK = 1 << 24
 MAX_EXACT_ROUNDS = 64
 MAX_SHUFFLE_WORK = 1 << 20
-# Compiled rounds kept, and as many count tables; the full mixlab sweep (N <= 12,
-# q <= 3) compiles 12 rounds, one per deck, at q = 3.
+# Compiled rounds kept: the full mixlab sweep compiles 12, one per deck, at q = 3.
 TRANSITION_CACHE_SIZE = 64
 
 
@@ -140,7 +135,7 @@ class ProjectedDistribution:
     weights: dict[tuple[int, ...], int] = functools.cached_property(_stepped_weights)
     denominator: int
     _packed = None  # (slots, bytes per slot) of a stepped distribution
-    _center = None  # c of a mod-add law that is fixed by its mirror image (see ``_mirror``)
+    _center = None  # c of a mod-add law that is fixed by its mirror image (see ``_transition``)
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
         check_kind(domain, Domain, "domain")
@@ -189,15 +184,28 @@ class ProjectedDistribution:
         return cls.__new__(cls)._set(domain, tracked, len(weights), len(weights), weights=weights)
 
 
+_Groups = tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...]]
+
+
 class _Transition(NamedTuple):
     """One round of the projected chain, compiled for one (domain, q)."""
 
     states: tuple[tuple[int, ...], ...]  # the support; a*N + x is representative a + x
-    # moves[a][i]: ((count, destination representatives), ...) for translation c = i,
-    # or c = i ^ (i >> 1) under XOR: for every x, a + x moves to b + (x + c), or
-    # b ^ (x ^ c), in ``count`` of the ``outcomes`` equally likely (subkey, coins) draws.
-    moves: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], ...], ...]
+    # moves[a] = (counts, ((i, j, dests), ...)): orbit a's distinct counts, then its move
+    # groups in translate order j.  For every x and each b in dests, a + x moves to
+    # b + (x + j), or b ^ (x ^ c) with c = j ^ (j >> 1) under XOR, in counts[i] of the
+    # ``outcomes`` equally likely (subkey, coins) draws.
+    moves: tuple[_Groups, ...]
+    kept: tuple[_Groups, ...]  # ``moves`` cut to the orbits a <= mirror(a); under XOR, ``moves``
+    fills: tuple[tuple[int, int, int], ...]  # (a, mirror(a), a's last card) per a > mirror(a)
     outcomes: int
+
+
+def _by_count(groups) -> _Groups:
+    """(distinct counts, (count index, j, dests) per group) of (count, j, dests) groups."""
+    index: dict[int, int] = {}  # count -> its index, in order of first use
+    indexed = tuple([(index.setdefault(count, len(index)), j, bs) for count, j, bs in groups])
+    return tuple(index), indexed
 
 
 @functools.lru_cache(maxsize=TRANSITION_CACHE_SIZE)
@@ -216,6 +224,13 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     XOR, partner(k, x ^ c) = partner(k, x) ^ c); pairs translate, each with one
     fair coin.  The chain lumps by these orbits (Levin-Peres-Wilmer, *Markov
     Chains and Mixing Times*): one state per orbit, first card 0, is compiled.
+
+    Under mod-add, x -> c - x commutes with the round too (the subkey k becomes
+    2c - k), and so does reversing the card order.  Their product sends the state
+    (0, y_1, ..., y_l) + x to (0, y_l - y_(l-1), ..., y_l - y_1, y_l) + (c - y_l - x),
+    and a law it fixes (``point_mass`` records its c) stays fixed every round.  So
+    ``step`` sums such a law into the ``kept`` orbits only, and fills orbit a >
+    m = mirror(a) from m: its slot x is m's slot c - y_l - x.
     """
     _check_round_work(domain, tracked)
     n = domain.size
@@ -229,9 +244,13 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     index = {sum(map(mul, tup, places)): i for i, tup in enumerate(states)}
     # Card 0 stays or moves to k under each subkey k, so every translation occurs.
     order = [i ^ i >> 1 for i in range(n)] if xor else range(n)
-    moves = []
+    orbit_of = {rep: a for a, rep in enumerate(reps)}  # for the mod-add mirror, as above
+    mirror = [orbit_of[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] for rep in reps]
+    keep = [a <= m for a, m in enumerate(mirror)].__getitem__
+    fills = () if xor else tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
+    moves, kept = [], []
     for tup in reps:
-        base, counts = sum(map(mul, tup, places)), {}
+        base, reached = sum(map(mul, tup, places)), {}
         for k in range(n):
             flips: dict[int, int] = {}  # coin -> the key change its heads make
             for x, place in zip(tup, places):
@@ -241,57 +260,17 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
             for flip in flips.values():
                 keys += [key + flip for key in keys]
             for dest in map(index.__getitem__, keys):
-                counts[dest] = counts.get(dest, 0) + weight
+                reached[dest] = reached.get(dest, 0) + weight
         by_c: dict[int, dict[int, list[int]]] = {}  # translation c -> count -> representatives
-        for dest, count in counts.items():  # dest = b*N + c, the state b + c
+        for dest, count in reached.items():  # dest = b*N + c, the state b + c
             by_c.setdefault(dest % n, {}).setdefault(count, []).append(dest // n)
-        moves.append(tuple(tuple((w, tuple(bs)) for w, bs in by_c[c].items()) for c in order))
-    return _Transition(states, tuple(moves), n << tracked)
-
-
-def _mirror(domain: Domain, tracked: int):
-    """The orbits a mirror-symmetric mod-add law fills from their mirror images.
-
-    Under mod-add, x -> c - x commutes with the round (the subkey k becomes 2c - k),
-    and so does reversing the card order.  Their product sends the state
-    (0, y_1, ..., y_l) + x to (0, y_l - y_(l-1), ..., y_l - y_1, y_l) + (c - y_l - x),
-    and a law it fixes (``point_mass`` records its c) stays fixed every round.  So
-    ``step`` sums only into the kept orbits a <= mirror(a), and fills orbit a > m =
-    mirror(a) from m: its slot x is m's slot c - y_l - x.  Returns (a, m, y_l) per
-    filled orbit, and per s the getter of slots (s - x) % N.
-    """
-    n = domain.size
-    reps = _transition(domain, tracked).states[::n]
-    index = {rep: a for a, rep in enumerate(reps)}
-    mirror = [index[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] for rep in reps]
-    fills = tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
-    flips = tuple(itemgetter(*((s - x) % n for x in range(n))) for s in range(n))
-    return fills, flips
-
-
-@functools.lru_cache(maxsize=TRANSITION_CACHE_SIZE)
-def _count_table(domain: Domain, tracked: int, mirrored: bool):
-    """The mod-add round's move groups per source orbit, indexed by its distinct counts.
-
-    Orbit a's entry is (its distinct counts, ((count index, c, dests), ...)); when
-    ``mirrored``, dests are cut to the orbits ``_mirror`` keeps.  Returns (the moves
-    this is built from, the table, and ``_mirror``'s fills and slot getters, or empty
-    ones); ``step`` uses it only with those moves.
-    """
-    moves = _transition(domain, tracked).moves
-    fills, flips = _mirror(domain, tracked) if mirrored else ((), ())
-    filled = {a for a, _, _ in fills}
-    table = []
-    for by_c in moves:
-        counts: dict[int, int] = {}  # count -> its index
-        groups = []
-        for c, pairs in enumerate(by_c):
-            for count, dests in pairs:
-                kept = tuple(filterfalse(filled.__contains__, dests)) if filled else dests
-                if kept:
-                    groups.append((counts.setdefault(count, len(counts)), c, kept))
-        table.append((tuple(counts), tuple(groups)))
-    return moves, tuple(table), fills, flips
+        groups = [(w, j, tuple(bs)) for j, c in enumerate(order) for w, bs in by_c[c].items()]
+        moves.append(_by_count(groups))
+        if fills:
+            cut = [(w, j, ks) for w, j, bs in groups if (ks := tuple(filter(keep, bs)))]
+            kept.append(_by_count(cut))
+    moves = tuple(moves)
+    return _Transition(states, moves, tuple(kept) if fills else moves, fills, n << tracked)
 
 
 def _pack(dist: ProjectedDistribution, size: int) -> bytes:
@@ -319,20 +298,16 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     each wide enough for the new denominator so no sum carries; a stepped input's
     slots are widened in place, one strided copy per byte, and a constructed one
     is packed by its support.  Orbit a's N slots are one int, a + x in slot x.
-    Under mod-add each orbit is scaled once per distinct count (``_count_table``),
-    and each move group adds its multiple shifted c slots into a 2N-slot sum folded
-    once per round; under XOR each group scales the last translate with one block
-    swap, in Gray order.  A mirror-symmetric input sums into the orbits ``_mirror``
-    keeps, and each other orbit is its mirror's slots permuted; the result keeps
-    the input's center.
+    Under mod-add each orbit is scaled once per distinct count, and each move
+    group adds its multiple shifted j slots into a 2N-slot sum folded once per
+    round; under XOR each new j takes the next translate, the last one with one
+    block swap in Gray order, and each group scales it.  A mirror-symmetric input
+    sums into the ``kept`` orbits, and each other orbit is its mirror's slots
+    reversed and rotated; the result keeps the input's center.
     """
     check_kind(dist, ProjectedDistribution, "distribution")
     t = _transition(dist.domain, dist.tracked)
     n, xor, center = dist.domain.size, dist.domain.law is GroupLaw.XOR, dist._center
-    table, fills = None, ()
-    counted = None if xor else _count_table(dist.domain, dist.tracked, center is not None)
-    if counted and counted[0] is t.moves:
-        _, table, fills, flips = counted
     denominator = dist.denominator * t.outcomes
     size = (denominator.bit_length() + 7) // 8  # bytes per slot
     bits, orbit = 8 * size, n * size
@@ -345,40 +320,40 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
             for k in range(old):
                 packed[k::size] = narrow[k::old]
     one, full = (1 << bits) - 1, (1 << n * bits) - 1
-    shifts = range(0, n * bits, bits)
     out = [0] * len(t.moves)
-    if table is not None:
-        for (counts, groups), weights in zip(table, _ints(packed, orbit)):
-            if weights:
-                multiples = list(map(weights.__mul__, counts))
-                for i, c, dests in groups:
-                    share = multiples[i] << shifts[c]
-                    for b in dests:
-                        out[b] += share
-    else:  # XOR, or a compile other than the one the count table was built from
-        blocks = [i & -i for i in range(1, n)] if xor else []  # translate i swaps i & -i slots
+    orbits = zip(t.moves if center is None else t.kept, _ints(packed, orbit))
+    if xor:
+        blocks = [i & -i for i in range(1, n)]  # translate i swaps i & -i slots
         lows = {
             j: int.from_bytes((b"\xff" * (j * size) + bytes(j * size)) * (n // (2 * j)), "little")
             for j in set(blocks)
         }
         swaps = [(j * bits, lows[j]) for j in blocks]
-        for moves, weights in zip(t.moves, _ints(packed, orbit)):
+        for (counts, groups), weights in orbits:
             if weights:
-                translates = (
-                    _gray_translates(weights, swaps) if xor else map(weights.__lshift__, shifts)
-                )
-                for groups, translate in zip(moves, translates):
-                    for count, dests in groups:
-                        share = count * translate
-                        for b in dests:
-                            out[b] += share
-    if not xor:
+                translates, at = _gray_translates(weights, swaps), -1
+                for i, j, dests in groups:
+                    if j != at:  # every translate has a group
+                        translate, at = next(translates), j
+                    share = counts[i] * translate
+                    for b in dests:
+                        out[b] += share
+    else:
+        shifts = range(0, n * bits, bits)
+        for (counts, groups), weights in orbits:
+            if weights:
+                multiples = list(map(weights.__mul__, counts))
+                for i, j, dests in groups:
+                    share = multiples[i] << shifts[j]
+                    for b in dests:
+                        out[b] += share
         out = [(w & full) + (w >> n * bits) for w in out]
     chunks = list(map(int.to_bytes, out, repeat(orbit), repeat("little")))
-    if fills:
+    if t.fills and center is not None:
         unpack = struct.Struct(f"{size}s" * n).unpack
-        for a, m, y in fills:
-            chunks[a] = b"".join(flips[(center - y) % n](unpack(chunks[m])))
+        for a, m, y in t.fills:  # slot x of a is slot s - x of m
+            slots, s = unpack(chunks[m]), (center - y) % n
+            chunks[a] = b"".join(slots[s::-1] + slots[:s:-1])
             out[a] = out[m]  # the same slots, permuted
     # Every slot of sum(out) is <= denominator < 2^bits: times the repunit, its top slot sums them.
     total = (sum(out) * (full // one)) >> (n - 1) * bits & one
@@ -487,7 +462,7 @@ def validation_grid(
     chain, so each q < top row reads the marginal of that round's distribution,
     with the same exact TVD; a deck's rows are buffered to keep their (q, r)
     order.  A mod-add start (0, ..., top-1) is its own mirror image (c = top - 1),
-    so each of its steps sums into half the orbits (see ``_mirror``).
+    so each of its steps sums into half the orbits (see ``_transition``).
     """
     check_int(max_size, "max_size", 2)
     check_int(max_tracked, "max_tracked", 1)

@@ -204,32 +204,34 @@ def test_mirrored_steps_equal_plain_ones():
     assert ProjectedDistribution.point_mass(Domain(4, GroupLaw.XOR), (0, 3))._center is None
 
 
-def test_count_table_rebuilds_the_compiled_moves():
+def test_kept_moves_are_the_moves_cut_to_the_mirror_orbits():
     # Each source orbit lists its distinct counts once, every one of them used,
-    # then (count index, c, dests) per move group: together they are the compiled
-    # moves, or, mirrored, those moves cut to the orbits a <= mirror(a) that a
-    # mirror-symmetric step sums into.
+    # then (count index, j, dests) per move group, in ``moves`` and in ``kept``.
+    # Under mod-add ``kept`` is ``moves`` cut to the orbits a <= mirror(a) that a
+    # mirror-symmetric step sums into, and ``fills`` is (a, mirror(a), a's last
+    # card) for every other orbit; under XOR ``kept`` is ``moves`` itself.
     for n in range(2, 10):
-        for q, mirrored in itertools.product(range(1, min(4, n) + 1), (False, True)):
-            domain = Domain(n)
-            t = mixing._transition(domain, q)
-            moves, table, fills, _ = mixing._count_table(domain, q, mirrored)
-            assert moves is t.moves and len(table) == len(moves)
+        for q in range(1, min(4, n) + 1):
+            t = mixing._transition(Domain(n), q)
             reps = t.states[::n]
             mirror = [reps.index((0, *((r[-1] - y) % n for y in reversed(r[:-1])))) for r in reps]
-            kept = {a for a, m in enumerate(mirror) if a <= m or not mirrored}
-            assert {a for a, _, _ in fills} == set(range(len(reps))) - kept
-            for (counts, groups), by_c in zip(table, moves):
-                assert len(set(counts)) == len(counts)
-                assert {i for i, _, _ in groups} == set(range(len(counts)))
-                rebuilt = [[] for _ in range(n)]
-                for i, c, dests in groups:
-                    rebuilt[c].append((counts[i], dests))
+            kept = {a for a, m in enumerate(mirror) if a <= m}
+            assert t.fills == tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
+            assert len(t.kept) == len(t.moves) and (t.kept is t.moves) == (not t.fills)
+            for (counts, groups), (kept_counts, kept_groups) in zip(t.moves, t.kept):
+                for cs, gs in ((counts, groups), (kept_counts, kept_groups)):
+                    assert len(set(cs)) == len(cs)
+                    assert {i for i, _, _ in gs} == set(range(len(cs)))
                 want = [
-                    [(w, bs) for w, dests in pairs if (bs := tuple(b for b in dests if b in kept))]
-                    for pairs in by_c
+                    (counts[i], j, bs)
+                    for i, j, dests in groups
+                    if (bs := tuple(b for b in dests if b in kept))
                 ]
-                assert rebuilt == want
+                assert [(kept_counts[i], j, bs) for i, j, bs in kept_groups] == want
+    for n, q in itertools.product((2, 4, 8), (1, 2, 3)):
+        if q <= n:
+            t = mixing._transition(Domain(n, GroupLaw.XOR), q)
+            assert t.kept is t.moves and t.fills == ()
 
 
 def test_the_sweep_builds_no_views(monkeypatch):
@@ -279,6 +281,8 @@ def test_compiled_round_guard():
     with pytest.raises(ParameterError, match="outcomes"):
         exact_tvd_after(Domain(17), 1, 5)
     assert exact_tvd_after(Domain(1000), 0, 2) == Fraction(998999, 999000)
+    # A constructed law's TVD packs only its support, here one of perm(N, 3) ~ 10^18 states.
+    assert exact_tvd_after(Domain(10**6), 0, 3) == Fraction(999997000001999999, 999997000002000000)
 
 
 @pytest.mark.parametrize(
@@ -563,25 +567,25 @@ def test_stepped_distribution_and_its_dict_built_twin(domain, q, rounds, minimal
 
 @pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
 def test_compiled_orbits_list_every_translation(law):
-    # ``step`` pairs each orbit's moves with its N translates in order: c = i,
-    # or the Gray code c = i ^ (i >> 1) under XOR.  Every translation occurs,
-    # and for N <= 8 each orbit's moves are its representative's exact round.
+    # ``step`` takes each orbit's move groups in translate order j, translation
+    # c = j, or the Gray code c = j ^ (j >> 1) under XOR.  Every translation occurs,
+    # and for N <= 8 each orbit's groups are its representative's exact round.
     sizes = [n for n in range(2, 17) if law is GroupLaw.MOD_ADD or n & (n - 1) == 0]
     for n, q in itertools.product(sizes, range(1, 4)):
         if q > n:
             continue
         t = mixing._transition(Domain(n, law), q)
         order = [i ^ i >> 1 if law is GroupLaw.XOR else i for i in range(n)]
-        for a, moves in enumerate(t.moves):
-            assert len(moves) == n and all(moves)
+        for a, (counts, groups) in enumerate(t.moves):
+            js = [j for _, j, _ in groups]
+            assert js == sorted(js) and set(js) == set(range(n)) and all(d for _, _, d in groups)
             if n > 8:
                 continue
             got: dict = {}
-            for c, groups in zip(order, moves):
-                for count, dests in groups:
-                    for b in dests:
-                        dest = t.states[b * n + c]
-                        got[dest] = got.get(dest, 0) + Fraction(count, t.outcomes)
+            for i, j, dests in groups:
+                for b in dests:
+                    dest = t.states[b * n + order[j]]
+                    got[dest] = got.get(dest, 0) + Fraction(counts[i], t.outcomes)
             assert got == reference_shuffle_step(n, law.value, {t.states[a * n]: 1})
 
 
@@ -596,25 +600,40 @@ def test_compiled_orbits_list_every_translation(law):
     ],
 )
 def test_compiled_rounds_are_pinned(law, n, q, digest):
-    # Past the whole-deck reference's N <= 8 reach, the compile's exact output
-    # (states, every move group in order, outcomes) is pinned by its digest.
+    # Past the whole-deck reference's N <= 8 reach, the compile's exact output is
+    # pinned by its digest: the states, then per orbit and per translate j its
+    # (count, dests) groups in order, and the outcomes.
     t = mixing._transition(Domain(n, law), q)
-    assert hashlib.sha256(repr(t).encode()).hexdigest() == digest
+    moves = tuple(
+        tuple(tuple((counts[i], bs) for i, j, bs in groups if j == c) for c in range(n))
+        for counts, groups in t.moves
+    )
+    pinned = f"_Transition(states={t.states!r}, moves={moves!r}, outcomes={t.outcomes!r})"
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("rounds_before", [0, 1, 2])
 def test_step_checks_the_packed_sum(monkeypatch, rounds_before):
-    # Dropping one move group loses probability; the step's sum check sees it
-    # without unpacking, whether its input is a dict or packed slots.
-    domain = Domain(6)
-    dist = ProjectedDistribution.point_mass(domain, (0, 1))
-    for _ in range(rounds_before):
-        dist = step(dist)
-    real = mixing._transition(domain, 2)
-    moves = (real.moves[0][1:],) + real.moves[1:]
-    monkeypatch.setattr(mixing, "_transition", lambda d, q: real._replace(moves=moves))
-    with pytest.raises(DomainError, match="sum to"):
-        step(dist)
+    # Dropping one move group from the view the step reads loses probability; the
+    # step's sum check sees it without unpacking, whether its input is a dict or
+    # packed slots.  The mirror-symmetric point mass reads ``kept``; the same start
+    # built by the constructor (no center) and an XOR start read ``moves``.
+    starts = [
+        (ProjectedDistribution.point_mass(Domain(6), (0, 1)), "kept"),
+        (ProjectedDistribution(Domain(6), 2, {(0, 1): 1}), "moves"),
+        (ProjectedDistribution.point_mass(Domain(8, GroupLaw.XOR), (0, 1)), "moves"),
+    ]
+    for dist, view in starts:
+        assert (dist._center is None) == (view == "moves")
+        for _ in range(rounds_before):
+            dist = step(dist)
+        real = mixing._transition(dist.domain, 2)
+        (counts, groups), *rest = getattr(real, view)
+        cut = real._replace(**{view: ((counts, groups[1:]), *rest)})
+        with monkeypatch.context() as patch:
+            patch.setattr(mixing, "_transition", lambda d, q: cut)
+            with pytest.raises(DomainError, match="sum to"):
+                step(dist)
 
 
 @pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
@@ -665,8 +684,10 @@ def test_one_card_closed_form(n, law, rounds):
 def test_one_card_step_holds_one_translate_at_a_time():
     # At q=1 the one orbit is N slots wide; holding all N of its translates at
     # once peaks near 90 MiB (mod-add, N=2896) and 30 MiB (XOR, N=2048) at these
-    # sizes, one translate at a time under 1 MiB.
+    # sizes, one translate at a time under 3 MiB.  The walk is cold, so its
+    # compile is traced too, and the mod-add start (0,) has a center.
     for domain in (Domain(2896), Domain(2048, GroupLaw.XOR)):
+        mixing._transition.cache_clear()
         tracemalloc.start()
         try:
             exact_tvd_after(domain, 4, 1)
