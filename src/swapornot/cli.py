@@ -175,7 +175,7 @@ def _cmd_mixlab(args) -> int:
         print(f"{len(rows)} rows, {failures} violations")
     tightest = ""
     if rows:
-        row = max(rows, key=lambda row: row.tvd / row.bound)
+        row = max(rows, key=lambda row: float(row.tvd) / row.bound)
         tightest = (
             f"tightest {row.law.value} N={row.domain_size} q={row.tracked} r={row.rounds} "
             f"tvd/bound={row.tvd / row.bound:.3g}, "

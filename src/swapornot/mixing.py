@@ -30,7 +30,7 @@ deck and reads each smaller q as a marginal.
 A distribution is integer weights over one denominator, the start's times
 (N * 2^q)^r after r rounds, held after a step as orbit-packed slots, widened
 in place as the denominator outgrows them; a constructed one is packed by its
-support, each tuple's slot written into a zeroed buffer.
+support, each tuple's weight written at its slot in the compile's slot map.
 ``weights`` and ``probs`` are views built on first use.  Every TVD reads packed
 slots as one int, flagging and summing those above D // S in whole-int operations.
 Only ``ShuffleSample.material`` uses the cipher, and it imports it when called.
@@ -114,8 +114,8 @@ def _ints(packed: bytes, width: int) -> Iterator[int]:
 
 
 def _stepped_weights(dist: "ProjectedDistribution") -> dict[tuple[int, ...], int]:
-    states, (packed, size) = _transition(dist.domain, dist.tracked).states, dist._packed
-    return dict(filter(itemgetter(1), zip(states, _ints(packed, size))))
+    slot_of, (packed, size) = _transition(dist.domain, dist.tracked).slot_of, dist._packed
+    return dict(filter(itemgetter(1), zip(slot_of, _ints(packed, size))))
 
 
 @dataclass(frozen=True, init=False)
@@ -190,7 +190,8 @@ _Groups = tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...]]
 class _Transition(NamedTuple):
     """One round of the projected chain, compiled for one (domain, q)."""
 
-    states: tuple[tuple[int, ...], ...]  # the support; a*N + x is representative a + x
+    # The support, state -> slot in slot order: slot a*N + x is representative a + x.
+    slot_of: dict[tuple[int, ...], int]
     # moves[a] = (counts, ((i, j, dests), ...)): orbit a's distinct counts, then its move
     # groups in translate order j.  For every x and each b in dests, a + x moves to
     # b + (x + j), or b ^ (x ^ c) with c = j ^ (j >> 1) under XOR, in counts[i] of the
@@ -238,14 +239,14 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     reps = [(0, *rest) for rest in itertools.permutations(range(1, n), tracked - 1)]
     # The caller's distribution validated the domain; inline the group law.
     xor = domain.law is GroupLaw.XOR
-    states = tuple(
-        tuple(y ^ x if xor else (y + x) % n for y in rep) for rep in reps for x in range(n)
-    )
-    index = {sum(map(mul, tup, places)): i for i, tup in enumerate(states)}
+    slot_of = {
+        tuple(y ^ x if xor else (y + x) % n for y in rep): a * n + x
+        for a, rep in enumerate(reps) for x in range(n)
+    }
+    index = {sum(map(mul, tup, places)): i for tup, i in slot_of.items()}
     # Card 0 stays or moves to k under each subkey k, so every translation occurs.
     order = [i ^ i >> 1 for i in range(n)] if xor else range(n)
-    orbit_of = {rep: a for a, rep in enumerate(reps)}  # for the mod-add mirror, as above
-    mirror = [orbit_of[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] for rep in reps]
+    mirror = [slot_of[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] // n for rep in reps]
     keep = [a <= m for a, m in enumerate(mirror)].__getitem__
     fills = () if xor else tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
     moves, kept = [], []
@@ -270,23 +271,14 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
             cut = [(w, j, ks) for w, j, bs in groups if (ks := tuple(filter(keep, bs)))]
             kept.append(_by_count(cut))
     moves = tuple(moves)
-    return _Transition(states, moves, tuple(kept) if fills else moves, fills, n << tracked)
+    return _Transition(slot_of, moves, tuple(kept) if fills else moves, fills, n << tracked)
 
 
-def _pack(dist: ProjectedDistribution, size: int) -> bytes:
-    """A constructed law's slots in ``_transition`` states order, written by its support.
-
-    Tuple (x, ...) sits at a*N + x, where a ranks (0, ...) = tuple - x in
-    ``permutations(range(1, N), q - 1)`` order: mixed-radix digits, each the rank of
-    a card among those not yet used.
-    """
-    n, q, xor = dist.domain.size, dist.tracked, dist.domain.law is GroupLaw.XOR
-    places = [math.perm(n - 2 - j, q - 2 - j) for j in range(q - 1)]
-    packed = bytearray(dist.support_size() * size)
-    for (x, *rest), w in dist.weights.items():
-        rep = [y ^ x if xor else (y - x) % n for y in rest]
-        digits = (y - 1 - sum(z < y for z in rep[:j]) for j, y in enumerate(rep))
-        i = (sum(map(mul, digits, places)) * n + x) * size
+def _pack(weights: Mapping, slot_of: Mapping, size: int) -> bytes:
+    """A constructed law's slots, each support tuple's weight written at ``slot_of[tuple]``."""
+    packed = bytearray(len(slot_of) * size)
+    for tup, w in weights.items():
+        i = slot_of[tup] * size
         packed[i : i + size] = w.to_bytes(size, "little")
     return bytes(packed)
 
@@ -294,7 +286,7 @@ def _pack(dist: ProjectedDistribution, size: int) -> bytes:
 def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     """Exact one-round transition of the projected shuffle.
 
-    The result is held as little-endian slots in ``_transition`` states order,
+    The result is held as little-endian slots in the compile's ``slot_of`` order,
     each wide enough for the new denominator so no sum carries; a stepped input's
     slots are widened in place, one strided copy per byte, and a constructed one
     is packed by its support.  Orbit a's N slots are one int, a + x in slot x.
@@ -312,7 +304,7 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
     size = (denominator.bit_length() + 7) // 8  # bytes per slot
     bits, orbit = 8 * size, n * size
     if dist._packed is None:
-        packed = _pack(dist, size)
+        packed = _pack(dist.weights, t.slot_of, size)
     else:
         packed, old = dist._packed
         if old < size:  # byte k of every slot moves in one strided copy
@@ -469,9 +461,8 @@ def validation_grid(
     check_int(max_rounds, "rounds", 0, MAX_EXACT_ROUNDS)
     domains = [Domain(n, GroupLaw.MOD_ADD) for n in range(3, max_size + 1)]
     domains += [Domain(n, GroupLaw.XOR) for n in range(4, max_size + 1) if n & (n - 1) == 0]
-    chains = [(d, q) for d in domains for q in range(1, min(max_tracked, d.size) + 1)]
-    for domain, q in chains:
-        _check_round_work(domain, q)
+    for domain in domains:  # the work never falls as q grows, so the top chain covers all
+        _check_round_work(domain, min(max_tracked, domain.size))
     for domain in domains:
         top = min(max_tracked, domain.size)
         rows: list[list[ValidationRow]] = [[] for _ in range(top)]  # by q - 1

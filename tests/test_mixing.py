@@ -14,6 +14,7 @@ from swapornot import (
     GroupLaw,
     ParameterError,
     ProjectedDistribution,
+    RoundMaterial,
     encipher,
     exact_tvd_after,
     ncpa_bound,
@@ -213,7 +214,7 @@ def test_kept_moves_are_the_moves_cut_to_the_mirror_orbits():
     for n in range(2, 10):
         for q in range(1, min(4, n) + 1):
             t = mixing._transition(Domain(n), q)
-            reps = t.states[::n]
+            reps = list(t.slot_of)[::n]
             mirror = [reps.index((0, *((r[-1] - y) % n for y in reversed(r[:-1])))) for r in reps]
             kept = {a for a, m in enumerate(mirror) if a <= m}
             assert t.fills == tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
@@ -425,7 +426,7 @@ def test_step_equals_whole_deck_oracle(domain):
             # that of a twin packed densely, every compiled state's weight in turn.
             d = start.denominator
             size = (d.bit_length() + 7) // 8
-            slots = mixing._transition(domain, q).states
+            slots = mixing._transition(domain, q).slot_of
             dense = b"".join(start.weights.get(s, 0).to_bytes(size, "little") for s in slots)
             twin = object.__new__(ProjectedDistribution)._set(domain, q, d, d, _packed=(dense, size))
             assert step(start)._packed == step(twin)._packed
@@ -575,6 +576,7 @@ def test_compiled_orbits_list_every_translation(law):
         if q > n:
             continue
         t = mixing._transition(Domain(n, law), q)
+        states = list(t.slot_of)
         order = [i ^ i >> 1 if law is GroupLaw.XOR else i for i in range(n)]
         for a, (counts, groups) in enumerate(t.moves):
             js = [j for _, j, _ in groups]
@@ -584,9 +586,56 @@ def test_compiled_orbits_list_every_translation(law):
             got: dict = {}
             for i, j, dests in groups:
                 for b in dests:
-                    dest = t.states[b * n + order[j]]
+                    dest = states[b * n + order[j]]
                     got[dest] = got.get(dest, 0) + Fraction(counts[i], t.outcomes)
-            assert got == reference_shuffle_step(n, law.value, {t.states[a * n]: 1})
+            assert got == reference_shuffle_step(n, law.value, {states[a * n]: 1})
+
+
+@pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
+def test_slot_map_is_the_layout_step_reads(law):
+    # ``step``, ``_pack`` and the weights view all read the compile's ``slot_of``:
+    # its values are 0 .. S-1 in key order, its keys are the whole support, and
+    # slot a*N + x holds slot a*N's state (first card 0) translated by x.
+    sizes = [n for n in range(2, 9) if law is GroupLaw.MOD_ADD or n & (n - 1) == 0]
+    for n, q in itertools.product(sizes, range(1, 4)):
+        if q > n:
+            continue
+        slot_of = mixing._transition(Domain(n, law), q).slot_of
+        assert list(slot_of.values()) == list(range(len(slot_of)))
+        assert set(slot_of) == set(itertools.permutations(range(n), q))
+        states = list(slot_of)
+        for slot, state in enumerate(states):
+            a, x = divmod(slot, n)
+            rep = states[a * n]
+            assert rep[0] == 0
+            assert state == tuple(y ^ x if law is GroupLaw.XOR else (y + x) % n for y in rep)
+
+
+@pytest.mark.parametrize("law", [GroupLaw.MOD_ADD, GroupLaw.XOR])
+@pytest.mark.parametrize("rounds", [2, 3, 5])
+def test_keyed_pipeline_follows_the_exact_chain(law, rounds):
+    # The keyed pipeline as a whole (subkey derivation, round-bit hashing, the
+    # fused loop) against ``step``'s exact law: 20,000 ideal seeds, seed s as 32
+    # big-endian bytes, each encipher 0 and 1 on N = 8, and their images fill one
+    # of the 56 cells (E(0), E(1)).  Every cell is reached after two rounds, so the
+    # chi-square statistic has 55 degrees of freedom, and 119.90 is its p = 1e-6
+    # tail: the regularized upper gamma Q(55/2, 119.90/2) = 1.0007e-6 in mpmath
+    # (``gammainc(27.5, 59.95, inf, regularized=True)``).  Fixed seeds make the
+    # test deterministic; it read 46.7-60.6 over these six cases.  Two mutants of
+    # the pipeline fail it: every round hashing round 1's header (the round index
+    # dropped), and one subkey reused in every round.
+    domain, seeds = Domain(8, law), 20_000
+    dist = ProjectedDistribution.point_mass(domain, (0, 1))
+    for _ in range(rounds):
+        dist = step(dist)
+    assert len(dist.probs) == 8 * 7
+    seen: dict = {}
+    for s in range(seeds):
+        material = RoundMaterial.ideal(domain, rounds, s.to_bytes(32, "big"))
+        cell = encipher(domain, material, 0), encipher(domain, material, 1)
+        seen[cell] = seen.get(cell, 0) + 1
+    chi2 = sum((seen.get(cell, 0) - seeds * p) ** 2 / (seeds * p) for cell, p in dist.probs.items())
+    assert chi2 <= Fraction("119.90"), float(chi2)
 
 
 @pytest.mark.parametrize(
@@ -608,7 +657,7 @@ def test_compiled_rounds_are_pinned(law, n, q, digest):
         tuple(tuple((counts[i], bs) for i, j, bs in groups if j == c) for c in range(n))
         for counts, groups in t.moves
     )
-    pinned = f"_Transition(states={t.states!r}, moves={moves!r}, outcomes={t.outcomes!r})"
+    pinned = f"_Transition(states={tuple(t.slot_of)!r}, moves={moves!r}, outcomes={t.outcomes!r})"
     assert hashlib.sha256(pinned.encode()).hexdigest() == digest
 
 
