@@ -246,7 +246,7 @@ def _transition(domain: Domain, tracked: int) -> _Transition:
     index = {sum(map(mul, tup, places)): i for tup, i in slot_of.items()}
     # Card 0 stays or moves to k under each subkey k, so every translation occurs.
     order = [i ^ i >> 1 for i in range(n)] if xor else range(n)
-    mirror = [slot_of[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] // n for rep in reps]
+    mirror = [slot_of[(0, *((rep[-1] - y) % n for y in reversed(rep[:-1])))] // n for rep in reps]
     keep = [a <= m for a, m in enumerate(mirror)].__getitem__
     fills = () if xor else tuple((a, m, reps[a][-1]) for a, m in enumerate(mirror) if m < a)
     moves, kept = [], []
@@ -331,7 +331,8 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
                     for b in dests:
                         out[b] += share
     else:
-        shifts = range(0, n * bits, bits)
+        top = n * bits
+        shifts = list(range(0, top, bits))  # a list: reading a range item makes a new int
         for (counts, groups), weights in orbits:
             if weights:
                 multiples = list(map(weights.__mul__, counts))
@@ -339,7 +340,7 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
                     share = multiples[i] << shifts[j]
                     for b in dests:
                         out[b] += share
-        out = [(w & full) + (w >> n * bits) for w in out]
+        out = [(w & full) + (w >> top) for w in out]
     chunks = list(map(int.to_bytes, out, repeat(orbit), repeat("little")))
     if t.fills and center is not None:
         unpack = struct.Struct(f"{size}s" * n).unpack

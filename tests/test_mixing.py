@@ -205,6 +205,36 @@ def test_mirrored_steps_equal_plain_ones():
     assert ProjectedDistribution.point_mass(Domain(4, GroupLaw.XOR), (0, 3))._center is None
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+def test_mirrored_sweep_chain_equals_the_plain_one_past_the_oracle(n):
+    # The whole-deck oracle stops at N = 8.  Up to the sweep's N = 12 and over its
+    # 12 rounds, the sweep's mirrored chain from (0, 1, 2) and the same start built
+    # by the constructor, which steps every orbit, hold the same bytes.
+    mirrored = ProjectedDistribution.point_mass(Domain(n), (0, 1, 2))
+    plain = ProjectedDistribution(Domain(n), 3, {(0, 1, 2): 1})
+    for _ in range(12):
+        mirrored, plain = step(mirrored), step(plain)
+        assert mirrored._packed == plain._packed
+
+
+@pytest.mark.parametrize(
+    "law, n, rounds, size, digest",
+    [
+        (GroupLaw.MOD_ADD, 12, 12, 10,
+         "307301390af0f2e6ae2898cdaf2532d7436c89b83c17c68e70d693f0475e72e9"),
+        (GroupLaw.XOR, 16, 6, 6, "337cd115f25c30cdeeac150e794c22daba2647e1d96eec193f34d2f5aba4d0e8"),
+    ],
+)
+def test_stepped_slots_are_pinned(law, n, rounds, size, digest):
+    # Past the oracle, the slots themselves are pinned: sha256 of the packed bytes
+    # after ``rounds`` steps from (0, 1, 2).  A faster step must keep every byte.
+    dist = ProjectedDistribution.point_mass(Domain(n, law), (0, 1, 2))
+    for _ in range(rounds):
+        dist = step(dist)
+    packed, width = dist._packed
+    assert (width, hashlib.sha256(packed).hexdigest()) == (size, digest)
+
+
 def test_kept_moves_are_the_moves_cut_to_the_mirror_orbits():
     # Each source orbit lists its distinct counts once, every one of them used,
     # then (count index, j, dests) per move group, in ``moves`` and in ``kept``.

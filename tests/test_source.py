@@ -5,8 +5,10 @@ class has a caller outside the tests, every integer type test is the one in
 ``errors.check_int``, no library module imports mpmath, the PRF message header
 is spelled once, the analysis modules (``bounds``, ``mixing``, ``cli``) import
 no crypto module when they load, only ``prf.PrfKey`` (the one object holding a
-keyed hasher) defines a pickle hook, and every boundary the benchmark's layer
-tracer rebinds still exists.
+keyed hasher) defines a pickle hook, no subscript star-unpacks into a tuple
+key without parentheses of its own (Python 3.11 syntax under
+``requires-python >= 3.10``), and every boundary the benchmark's layer tracer
+rebinds still exists.
 
 There is no linter in the toolchain, so these tests stand in for the two rules
 that have bitten the sources: an import left behind after its last use, and a
@@ -388,6 +390,45 @@ def test_only_the_keyed_hasher_defines_a_pickle_hook():
     # plain cached values; a hook would be one more copy path to keep right.
     found = [f"{path.stem}.{hook}" for path in LIBRARY for hook in pickle_hooks(path.read_text())]
     assert found == ["prf.PrfKey.__reduce__"]
+
+
+def bare_starred_keys(source: str) -> list[int]:
+    """The lines of subscripts like ``a[0, *b]``: a starred item in a bare tuple key.
+
+    That spelling is Python 3.11 syntax (PEP 646), and ``pyproject.toml`` says
+    ``requires-python = ">=3.10"``: on 3.10 the module fails to import.
+    ``a[(0, *b)]`` runs on 3.10 too and parses to the same tree, and
+    ``ast.parse(..., feature_version=(3, 10))`` accepts both.  So the key's own
+    text is read back as a list item: with its own parentheses it is one tuple,
+    without them its items.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        key = node.slice if isinstance(node, ast.Subscript) else None
+        if isinstance(key, ast.Tuple) and any(isinstance(item, ast.Starred) for item in key.elts):
+            items = ast.parse(f"[{ast.get_source_segment(source, key)}]", mode="eval").body.elts
+            if not (len(items) == 1 and isinstance(items[0], ast.Tuple)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_bare_starred_keys_are_found():
+    # Line 1 is how mixing._transition once spelled its mirror key; the flagged
+    # lines are the ones CPython 3.10 rejects.
+    source = (
+        "mirror = [slot_of[0, *((rep[-1] - y) % n for y in reversed(rep[:-1]))] // n"
+        " for rep in reps]\n"
+        "mirror = [slot_of[(0, *((rep[-1] - y) % n for y in reversed(rep[:-1])))] // n"
+        " for rep in reps]\n"
+        "a[(x), *b, (y)]\na[*b,]\na[0,\n  *b]\na[(0,\n  *b,)]\na[((0, *b))]\n"
+        "a[*b]\na[(0, *b), 1]\na[0, b]\nf(0, *b)\n"
+    )
+    assert bare_starred_keys(source) == [1, 3, 4, 5, 10]
+
+
+def test_no_subscript_needs_python_3_11():
+    found = [f"{path.stem}:{n}" for path in LIBRARY for n in bare_starred_keys(path.read_text())]
+    assert found == []
 
 
 @pytest.mark.parametrize("module,attr", BOUNDARIES, ids=[f"{m}.{a}" for m, a in BOUNDARIES])
