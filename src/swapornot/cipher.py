@@ -21,10 +21,10 @@ from ``prf.round_states``: the key's keyed state already holding each round's
 prefix.  The key's schedule memo keeps them for (N, R) once that schedule is
 reused (``STATE_USES``), and they then serve any ``DerivedSource`` material
 over the key with R rounds on [N]; other calls build their own.
-``prf.round_bit`` stays the spec it must match, and an override of
-``PrfKey.block`` does not see these round bits.  Every other source and
-``encipher_traced`` go through ``BitSource.bit`` once per round.  Reversed
-material only records its direction, so it takes the path of its ``decipher``.
+``prf.round_bit`` stays the spec it must match.  ``PrfKey.block`` computes
+tweak digests and subkey draws for every key class, but not these round bits.
+Every other source and ``encipher_traced`` go through ``BitSource.bit`` once
+per round.  Reversed material records its direction and runs as ``decipher``.
 """
 
 from __future__ import annotations

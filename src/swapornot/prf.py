@@ -29,10 +29,10 @@ takes part in its equality, hash, repr, copies or pickles.
 ``encode_round_bit`` and ``round_bit`` are the normative round-bit spec, and
 the tests compare the cipher against them.  The cipher's production loop
 does not call them: from ``round_states`` it hashes each round's tweak digest
-and element inline, in this same layout.  Subkey draws are hashed inline too,
-unless the key's class overrides ``block``: the override sees tweak digests
-and, since ``sample_uniform`` reads draws in chunks never past the last
-accepted one, exactly the draws consumed.
+and element inline, in this same layout.  For every key class, ``PrfKey.block``
+computes each tweak digest and each subkey draw, but not those round bits.
+Since ``sample_uniform`` reads draws in chunks never past the last accepted
+one, an override of ``block`` sees exactly the draws consumed.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import hashlib
 import itertools
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable
 
 from .domain import MAX_DOMAIN_SIZE, MAX_ROUNDS, Domain
 from .errors import DomainError, ParameterError, check_int, check_kind
@@ -194,14 +194,6 @@ def _draw_table() -> tuple[bytes, ...]:
     return tuple(map(encode_subkey_draw, range(1, _DRAW_TABLE_SIZE + 1)))
 
 
-def _keyed_blocks(copy, messages: Iterable[bytes]) -> Iterator[bytes]:
-    """``PrfKey.block`` of each message, hashed from a bound ``copy`` of the keyed state."""
-    for message in messages:
-        h = copy()
-        h.update(message)
-        yield h.digest()
-
-
 def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     """Per-round subkeys, uniform in [0, N) and deterministic per (key, N, rounds)."""
     check_kind(key, PrfKey, "key")
@@ -210,6 +202,4 @@ def derive_subkeys(key: PrfKey, domain: Domain, rounds: int) -> tuple[int, ...]:
     # Past the table, ``encode_subkey_draw`` without its per-call range check.
     tail = map(_HEADER.pack, itertools.repeat(b"K"), range(_DRAW_TABLE_SIZE + 1, _MAX_INDEX + 1))
     messages = itertools.chain(_draw_table(), tail)
-    if type(key).block is PrfKey.block:
-        return sample_uniform(_keyed_blocks(key._keyed.copy, messages), domain.size, rounds)
     return sample_uniform(map(key.block, messages), domain.size, rounds)

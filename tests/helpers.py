@@ -11,14 +11,18 @@ subkey oracle builds a fresh keyed BLAKE2b hasher for every draw and
 rejects by the remainder 2^w mod N, instead of streaming copies of one
 keyed state against a precomputed threshold; the sampler oracle applies
 the same rule to a given block stream one block at a time, instead of
-decoding chunks of blocks at once.
+decoding chunks of blocks at once.  The adversary oracles take a whole
+permutation's law and search every query strategy, adaptive ones by backward
+induction over transcripts, instead of evaluating a proven bound.
 
 One helper is no oracle: ``partner`` runs the cipher's own round, so the
 pairing's property tests check the code that enciphers.
 """
 
+import functools
 import hashlib
 import itertools
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -178,3 +182,40 @@ def reference_shuffle_step(n: int, law: str, dist: dict) -> dict:
                 new = tuple(moved[v] for v in positions)
                 out[new] = out.get(new, 0) + p * weight
     return out
+
+
+def best_adaptive_advantage(law: dict, n: int, q: int) -> Fraction:
+    """Exact best advantage of q adaptive queries to E or E^-1 against a uniform permutation.
+
+    ``law`` maps each permutation, as the tuple (E(0), ..., E(n-1)), to its
+    probability.  A transcript is the set of (x, E(x)) pairs seen so far.  At a
+    leaf the best guess is worth the larger of the real and ideal probabilities
+    of the permutations it admits; an inner node is worth its best next query
+    (a new x forward or a new y backward), summed over the answers.
+    """
+
+    @functools.cache
+    def value(pairs: frozenset, left: int) -> Fraction:
+        if not left:
+            real = sum(p for perm, p in law.items() if all(perm[x] == y for x, y in pairs))
+            return max(real, Fraction(math.factorial(n - len(pairs)), math.factorial(n)))
+        free_x = [x for x in range(n) if all(x != a for a, _ in pairs)]
+        free_y = [y for y in range(n) if all(y != b for _, b in pairs)]
+        forward = (sum(value(pairs | {(x, y)}, left - 1) for y in free_y) for x in free_x)
+        inverse = (sum(value(pairs | {(x, y)}, left - 1) for x in free_x) for y in free_y)
+        return max(itertools.chain(forward, inverse))
+
+    return value(frozenset(), q) - 1
+
+
+def best_forward_advantage(law: dict, n: int, q: int) -> Fraction:
+    """Exact best advantage of q distinct forward queries fixed in advance; ``law`` as above."""
+    ideal = Fraction(math.factorial(n - q), math.factorial(n))
+    best = Fraction(0)
+    for xs in itertools.combinations(range(n), q):
+        outputs: dict = {}
+        for perm, p in law.items():
+            ys = tuple(perm[x] for x in xs)
+            outputs[ys] = outputs.get(ys, 0) + p
+        best = max(best, sum(max(p - ideal, 0) for p in outputs.values()))
+    return best

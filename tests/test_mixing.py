@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapornot import (
+    BoundQuery,
     Domain,
     DomainError,
     GroupLaw,
+    Model,
     ParameterError,
     ProjectedDistribution,
     RoundMaterial,
@@ -25,7 +27,7 @@ from swapornot import (
 )
 from swapornot import mixing
 
-from helpers import reference_shuffle_step
+from helpers import best_adaptive_advantage, best_forward_advantage, reference_shuffle_step
 
 
 def test_single_card_step_example():
@@ -81,6 +83,29 @@ def test_tvd_decreases_with_rounds():
     values = [exact_tvd_after(d, r, 2, (0, 1)) for r in range(9)]
     for earlier, later in zip(values, values[1:]):
         assert later <= earlier + 1e-12
+
+
+CCA_ROUNDS = (4, 8, 16, 32)
+# The best adaptive E/E^-1 advantage over the best fixed forward one at N = 4, q = 2.
+ADAPTIVITY_GAIN = {GroupLaw.MOD_ADD: (1.0, 1.0, 1.0, 1.0), GroupLaw.XOR: (1.288, 1.125, 1.021, 1.001)}
+
+
+@pytest.mark.parametrize("law,n", [(GroupLaw.MOD_ADD, 3), (GroupLaw.MOD_ADD, 4), (GroupLaw.XOR, 4)])
+def test_cca_bound_dominates_the_best_adaptive_advantage(law, n):
+    # The chain of all N cards from (0, ..., N-1) is the exact law of the whole permutation E.
+    dist, gains = ProjectedDistribution.point_mass(Domain(n, law), tuple(range(n))), []
+    for r in range(1, max(CCA_ROUNDS) + 1):
+        dist = step(dist)
+        if r not in CCA_ROUNDS:
+            continue
+        for q in range(1, n + 1):
+            adaptive = best_adaptive_advantage(dist.probs, n, q)
+            forward = best_forward_advantage(dist.probs, n, q)
+            assert 0 < forward <= adaptive <= BoundQuery(n, r, q, Model.CCA).advantage()
+            if q == 2:
+                gains.append(round(float(adaptive / forward), 3))
+    if n == 4:
+        assert tuple(gains) == ADAPTIVITY_GAIN[law]
 
 
 def test_all_starting_tuples_smallest_sizes():

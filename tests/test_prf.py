@@ -346,13 +346,23 @@ PINNED_SUBKEYS = {
 }
 
 
-def test_derive_subkeys_hashes_without_block(monkeypatch):
-    def refuse(self, message):
-        raise AssertionError("subkey draw through PrfKey.block")
+def test_derive_subkeys_hashes_each_draw_through_block(monkeypatch):
+    # Every key class draws through PrfKey.block: one call per draw consumed,
+    # rejected ones included, in counter order, and nothing past the last.
+    messages, block = [], PrfKey.block
 
-    monkeypatch.setattr(PrfKey, "block", refuse)
+    def record(self, message):
+        messages.append(message)
+        return block(self, message)
+
+    monkeypatch.setattr(PrfKey, "block", record)
     for key_cls, pinned in PINNED_SUBKEYS.items():
-        assert derive_subkeys(key_cls(bytes(range(KEY_BYTES))), Domain(36**12), 4) == pinned
+        messages.clear()
+        key = key_cls(bytes(range(KEY_BYTES)))
+        expected, draws = reference_subkeys(key.key_bytes, key_cls.person, 36**12, 4)
+        assert derive_subkeys(key, Domain(36**12), 4) == pinned == expected
+        assert messages == [encode_subkey_draw(c) for c in range(1, draws + 1)]
+        assert draws > 4
 
 
 def test_block_override_sees_every_subkey_draw():
