@@ -31,8 +31,9 @@ A distribution is integer weights over one denominator, the start's times
 (N * 2^q)^r after r rounds, held after a step as orbit-packed slots, widened
 in place as the denominator outgrows them; a constructed one is packed by its
 support, each tuple's weight written at its slot in the compile's slot map.
-``weights`` and ``probs`` are views built on first use.  Every TVD reads packed
-slots as one int, flagging and summing those above D // S in whole-int operations.
+``weights`` and ``probs`` are views built on first use.  A step also keeps the orbit
+ints it summed, and the marginals sum those.  Every TVD reads packed slots as one
+int, one lane per slot, flagging and summing those above D // S in whole-int operations.
 Only ``ShuffleSample.material`` uses the cipher, and it imports it when called.
 """
 
@@ -87,24 +88,22 @@ def _gray_translates(weights: int, swaps: list[tuple[int, int]]) -> Iterator[int
 def _above_floor(packed: bytes, size: int, floor: int) -> tuple[int, int]:
     """The count and the sum of the slots above ``floor``, in whole-int operations.
 
-    Even and odd slots go into lanes of twice the slot width, so adding
-    2^bits - 1 - floor to a lane carries into its bit ``bits`` exactly when its
-    slot is above floor.  The slots sum to D < 2^bits, so the flagged lanes fold
-    in halves to one lane with no carry between lanes.
+    One lane per slot: with h = 2^(bits-1), each top bit is kept as read, and adding
+    h - 1 - floor % h to the rest carries into it, never past it, exactly when the rest
+    is above floor % h, so a slot is above floor when either bit is set (both if floor
+    >= h).  The slots sum to D < 2^bits, so flagged slots fold in halves with no carry.
     """
-    bits, width = 8 * size, 16 * size
-    one = (1 << bits) - 1
-    unit = int.from_bytes((b"\x01" + bytes(2 * size - 1)) * -(-len(packed) // (2 * size)), "little")
-    low, carry, lift = unit * one, unit << bits, unit * (one - floor)
+    bits, top = 8 * size, 1 << 8 * size - 1
+    high = int.from_bytes((bytes(size - 1) + b"\x80") * (len(packed) // size), "little")
     slots = int.from_bytes(packed, "little")
-    even, odd = slots & low, slots >> bits & low
-    flags_even, flags_odd = (even + lift) & carry, (odd + lift) & carry
-    count = flags_even.bit_count() + flags_odd.bit_count()
-    total = (even & flags_even - (flags_even >> bits)) + (odd & flags_odd - (flags_odd >> bits))
-    while (k := -(-total.bit_length() // width)) > 1:
-        half = k // 2 * width
+    hi = slots & high
+    over = (slots ^ hi) + (high >> bits - 1) * (top - 1 - floor % top) & high
+    flags = hi & over if floor >= top else hi | over
+    total = slots & (flags << 1) - (flags >> bits - 1)  # each flagged slot's bits
+    while (k := -(-total.bit_length() // bits)) > 1:
+        half = k // 2 * bits
         total = (total >> half) + (total & (1 << half) - 1)
-    return count, total
+    return flags.bit_count(), total
 
 
 def _ints(packed: bytes, width: int) -> Iterator[int]:
@@ -135,6 +134,7 @@ class ProjectedDistribution:
     weights: dict[tuple[int, ...], int] = functools.cached_property(_stepped_weights)
     denominator: int
     _packed = None  # (slots, bytes per slot) of a stepped distribution
+    _orbits = None  # a stepped distribution's orbit ints, each N slots of ``_packed``
     _center = None  # c of a mod-add law that is fixed by its mirror image (see ``_transition``)
 
     def __init__(self, domain: Domain, tracked: int, probs: Mapping[tuple[int, ...], Fraction]):
@@ -346,13 +346,13 @@ def step(dist: ProjectedDistribution) -> ProjectedDistribution:
         unpack = struct.Struct(f"{size}s" * n).unpack
         for a, m, y in t.fills:  # slot x of a is slot s - x of m
             slots, s = unpack(chunks[m]), (center - y) % n
-            chunks[a] = b"".join(slots[s::-1] + slots[:s:-1])
-            out[a] = out[m]  # the same slots, permuted
+            chunks[a] = chunk = b"".join(slots[s::-1] + slots[:s:-1])
+            out[a] = int.from_bytes(chunk, "little")
     # Every slot of sum(out) is <= denominator < 2^bits: times the repunit, its top slot sums them.
     total = (sum(out) * (full // one)) >> (n - 1) * bits & one
     new = object.__new__(ProjectedDistribution)
-    packed = (b"".join(chunks), size)
-    return new._set(dist.domain, dist.tracked, denominator, total, _packed=packed, _center=center)
+    held = dict(_packed=(b"".join(chunks), size), _orbits=out, _center=center)
+    return new._set(dist.domain, dist.tracked, denominator, total, **held)
 
 
 def tvd_to_stationary(dist: ProjectedDistribution) -> Fraction:
@@ -401,13 +401,12 @@ def _marginals(dist: ProjectedDistribution) -> Iterator[ProjectedDistribution]:
 
     Orbit representatives come in ``permutations`` order, so the N - t of t + 1
     cards that share their first t cards are adjacent, and a prefix translates
-    with its tuple: their orbit ints sum, slot for slot, to the orbit of those t
-    cards.  No slot carries, as each sum is at most D; every marginal keeps D.
+    with its tuple: their orbit ints, from the ones ``step`` kept, sum slot for slot
+    to the orbit of those t cards.  No slot carries, as each sum is at most D; all keep D.
     """
     yield dist
-    (packed, size), n = dist._packed, dist.domain.size
+    size, n, orbits = dist._packed[1], dist.domain.size, dist._orbits
     orbit = n * size
-    orbits = list(_ints(packed, orbit))
     for t in range(dist.tracked - 1, 0, -1):
         orbits = [sum(orbits[i : i + n - t]) for i in range(0, len(orbits), n - t)]
         held = b"".join(map(int.to_bytes, orbits, repeat(orbit), repeat("little"))), size

@@ -86,14 +86,20 @@ def test_tvd_decreases_with_rounds():
 
 
 CCA_ROUNDS = (4, 8, 16, 32)
-# The best adaptive E/E^-1 advantage over the best fixed forward one at N = 4, q = 2.
-ADAPTIVITY_GAIN = {GroupLaw.MOD_ADD: (1.0, 1.0, 1.0, 1.0), GroupLaw.XOR: (1.288, 1.125, 1.021, 1.001)}
+# The best adaptive E/E^-1 advantage over the best fixed forward one, per q, at each R above.
+ADAPTIVITY_GAIN = {
+    (GroupLaw.MOD_ADD, 4): {2: (1.0, 1.0, 1.0, 1.0)},
+    (GroupLaw.XOR, 4): {2: (1.288, 1.125, 1.021, 1.001)},
+    (GroupLaw.MOD_ADD, 5): {2: (1.367, 1.239, 1.058, 1.003), 3: (1.062, 1.088, 1.032, 1.002)},
+}
 
 
-@pytest.mark.parametrize("law,n", [(GroupLaw.MOD_ADD, 3), (GroupLaw.MOD_ADD, 4), (GroupLaw.XOR, 4)])
+@pytest.mark.parametrize(
+    "law,n", [(GroupLaw.MOD_ADD, 3), (GroupLaw.MOD_ADD, 4), (GroupLaw.XOR, 4), (GroupLaw.MOD_ADD, 5)]
+)
 def test_cca_bound_dominates_the_best_adaptive_advantage(law, n):
     # The chain of all N cards from (0, ..., N-1) is the exact law of the whole permutation E.
-    dist, gains = ProjectedDistribution.point_mass(Domain(n, law), tuple(range(n))), []
+    dist, gains = ProjectedDistribution.point_mass(Domain(n, law), tuple(range(n))), {}
     for r in range(1, max(CCA_ROUNDS) + 1):
         dist = step(dist)
         if r not in CCA_ROUNDS:
@@ -102,10 +108,9 @@ def test_cca_bound_dominates_the_best_adaptive_advantage(law, n):
             adaptive = best_adaptive_advantage(dist.probs, n, q)
             forward = best_forward_advantage(dist.probs, n, q)
             assert 0 < forward <= adaptive <= BoundQuery(n, r, q, Model.CCA).advantage()
-            if q == 2:
-                gains.append(round(float(adaptive / forward), 3))
-    if n == 4:
-        assert tuple(gains) == ADAPTIVITY_GAIN[law]
+            gains.setdefault(q, []).append(round(float(adaptive / forward), 3))
+    for q, want in ADAPTIVITY_GAIN.get((law, n), {}).items():
+        assert tuple(gains[q]) == want
 
 
 def test_all_starting_tuples_smallest_sizes():
@@ -240,6 +245,25 @@ def test_mirrored_sweep_chain_equals_the_plain_one_past_the_oracle(n):
     for _ in range(12):
         mirrored, plain = step(mirrored), step(plain)
         assert mirrored._packed == plain._packed
+
+
+@pytest.mark.parametrize(
+    "law,n", [*((GroupLaw.MOD_ADD, n) for n in range(9, 13)), (GroupLaw.XOR, 8), (GroupLaw.XOR, 16)]
+)
+def test_each_step_keeps_the_orbit_ints_its_bytes_hold(law, n):
+    # ``_marginals`` sums the orbit ints ``step`` kept instead of parsing the slots
+    # again.  After every step, of the sweep's chain from (0, 1, 2) and of the same
+    # start built by the constructor, they are the ints of its bytes, N slots each;
+    # so a mirror-filled orbit, read back from its own bytes, cannot drift from them.
+    chains = [
+        ProjectedDistribution.point_mass(Domain(n, law), (0, 1, 2)),
+        ProjectedDistribution(Domain(n, law), 3, {(0, 1, 2): 1}),
+    ]
+    for _ in range(12):
+        chains = list(map(step, chains))
+        for dist in chains:
+            packed, size = dist._packed
+            assert dist._orbits == list(mixing._ints(packed, n * size))
 
 
 @pytest.mark.parametrize(
@@ -536,23 +560,25 @@ def test_packed_tvd_equals_the_fraction_sum(law):
     # The packed TVD flags and sums slots in whole-int operations; the oracle sums
     # |p - 1/S| / 2 over every state.  It covers odd slot counts and denominators
     # that fill their slots: N=3, q=1, r=3 is 216 in one byte, XOR N=4, q=1, r=5
-    # is 2^15 in two.
-    filled, full = set(), (3, 1, 3) if law is GroupLaw.MOD_ADD else (4, 1, 5)
-    for n in range(2, 9):
+    # is 2^15 in two, and the sweep's widest, N=12, q=3, r=12, is 96^12 in ten.
+    filled = set()
+    full = {(3, 1, 3), (12, 3, 12)} if law is GroupLaw.MOD_ADD else {(4, 1, 5)}
+    chains = [(n, q) for n in range(2, 9) for q in range(1, min(3, n) + 1)]
+    chains += [(12, 3)] if law is GroupLaw.MOD_ADD else []
+    for n, q in chains:
         if law is GroupLaw.XOR and n & (n - 1):
             continue
-        for q in range(1, min(3, n) + 1):
-            dist = ProjectedDistribution.point_mass(Domain(n, law), tuple(range(q)))
-            states = list(itertools.permutations(range(n), q))
-            for r in range(1, 13):
-                dist = step(dist)
-                tvd = tvd_to_stationary(dist)
-                assert "weights" not in vars(dist) and "probs" not in vars(dist)
-                if dist.denominator.bit_length() == 8 * dist._packed[1]:
-                    filled.add((n, q, r))
-                uniform = Fraction(1, len(states))
-                assert tvd == sum(abs(dist.probs.get(t, 0) - uniform) for t in states) / 2
-    assert full in filled
+        dist = ProjectedDistribution.point_mass(Domain(n, law), tuple(range(q)))
+        states = list(itertools.permutations(range(n), q))
+        for r in range(1, 13):
+            dist = step(dist)
+            tvd = tvd_to_stationary(dist)
+            assert "weights" not in vars(dist) and "probs" not in vars(dist)
+            if dist.denominator.bit_length() == 8 * dist._packed[1]:
+                filled.add((n, q, r))
+            uniform = Fraction(1, len(states))
+            assert tvd == sum(abs(dist.probs.get(t, 0) - uniform) for t in states) / 2
+    assert full <= filled
 
 
 RISING = dict(zip(itertools.permutations(range(3), 2), (Fraction(i, 21) for i in range(1, 7))))
@@ -597,6 +623,18 @@ def test_above_floor_counts_and_sums_the_slots_over_it(data):
     packed = b"".join(w.to_bytes(size, "little") for w in slots)
     above = [w for w in slots if w > floor]
     assert mixing._above_floor(packed, size, floor) == (len(above), sum(above))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_above_floor_reads_the_top_bit_of_each_slot(size):
+    # Slots at and above h = 2^(bits-1) set the top bit the kernel keeps as read;
+    # floors sit just below, at and above h.  Each list sums to at most 2^bits - 1.
+    h = 1 << 8 * size - 1
+    lists = [[1, h, h - 2], [h - 3, 0, h + 1, 1], [0, 2 * h - 1, 0], [h - 1, h], [h], [h - 1, 1, h - 1]]
+    for slots, floor in itertools.product(lists, (0, 1, h - 2, h - 1, h, h + 1, 2 * h - 2)):
+        packed = b"".join(w.to_bytes(size, "little") for w in slots)
+        above = [w for w in slots if w > floor]
+        assert mixing._above_floor(packed, size, floor) == (len(above), sum(above)), (slots, floor)
 
 
 @pytest.mark.parametrize(
